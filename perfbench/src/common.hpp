@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace perfbench {
@@ -246,15 +247,23 @@ struct Report {
 [[nodiscard]] double peak_rss_mb();
 
 /// Median of `reps` timed calls of fn (seconds); fn may keep state.
-template <typename Fn>
-[[nodiscard]] double median_seconds(int reps, Fn&& fn) {
+/// `untimed` runs before each call, outside the timing (say, to tear
+/// down the previous rep).
+template <typename Untimed, typename Fn>
+[[nodiscard]] double median_seconds(int reps, Untimed&& untimed, Fn&& fn) {
   std::vector<double> s;
   for (int i = 0; i < reps; ++i) {
+    untimed(i);
     const std::int64_t t0 = now_ns();
     fn(i);
     s.push_back(ns_to_s(now_ns() - t0));
   }
   return median(std::move(s));
+}
+
+template <typename Fn>
+[[nodiscard]] double median_seconds(int reps, Fn&& fn) {
+  return median_seconds(reps, [](int) {}, std::forward<Fn>(fn));
 }
 
 /// Whether a seeded sample includes op `i` (1 in `every`; none for 0).

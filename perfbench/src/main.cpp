@@ -72,9 +72,6 @@ int main(int argc, char** argv) {
       usage(("unknown workload " + args.workload).c_str());
     }
     report.workload = args.workload;
-    if (!args.trace) {
-      report.metric("peak_rss_mb", perfbench::peak_rss_mb(), "MB");
-    }
     std::cout << report.to_json() << std::endl;
     return 0;
   } catch (const std::exception& e) {

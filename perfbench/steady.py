@@ -8,15 +8,17 @@ Run from the repository root:
   python3 perfbench/steady.py spread --workload live_schedule --runs 10 \
       [--seed0 1] [--seconds 10] [--save runs.json]
 
-  # Compare the medians of two saved sets of runs against the bounds.
+  # Compare the medians of two saved sets of runs against the bounds:
+  # a shift either way beyond a metric's bound fails, so two sets of the
+  # same code must agree. The shift is signed, positive = worse.
   python3 perfbench/steady.py compare first.json second.json
 
   # Run one seed twice and require every exact count to repeat.
   python3 perfbench/steady.py replay --workload live_schedule --seed 7
 
 A spread below a third of the bound is reported "steady", below the
-bound "within", otherwise "TOO WIDE" (exit status 1). setup_s is not
-held to its bound; only its median shift is compared.
+bound "within", otherwise "TOO WIDE" (exit status 1). Every end-to-end
+metric, setup_s included, is held to its bound.
 """
 
 import argparse
@@ -50,9 +52,7 @@ def spread(values):
     return med, q1, q3, (q3 - q1) / med if med else float("inf")
 
 
-def verdict(name, share, bound):
-    if name == "setup_s":
-        return "n/a (median shift only)"
+def verdict(share, bound):
     if share < bound / 3:
         return "steady"
     return "within" if share <= bound else "TOO WIDE"
@@ -85,11 +85,16 @@ def report_spread(runs, spec):
     for m in spec["end_to_end"]:
         values = [r["result"]["metrics"][m["name"]]["value"] for r in runs]
         med, q1, q3, share = spread(values)
-        v = verdict(m["name"], share, m["bound"])
+        v = verdict(share, m["bound"])
         wide += v == "TOO WIDE"
         print(f"{m['name']:<20} {med:>12.6g} {q1:>12.6g} {q3:>12.6g} "
               f"{share:>8.4f} {m['bound']:>6}  {v}")
     return wide
+
+
+def shift_verdict(shift, bound):
+    """Verdict on a median shift: a shift either way counts."""
+    return "ok" if abs(shift) <= bound else "DISAGREE"
 
 
 def cmd_compare(args, spec):
@@ -97,20 +102,20 @@ def cmd_compare(args, spec):
     for path in (args.first, args.second):
         with open(path, encoding="utf-8") as f:
             sets.append(json.load(f))
-    worse = 0
+    bad = 0
     print(f"{'metric':<20} {'median 1':>12} {'median 2':>12} {'shift':>8} "
-          f"{'bound':>6}  verdict")
+          f"{'bound':>6}  verdict (shift > 0 is worse)")
     for m in spec["end_to_end"]:
         meds = [statistics.median(r["result"]["metrics"][m["name"]]["value"]
                                   for r in s["runs"]) for s in sets]
         shift = (meds[1] - meds[0]) / meds[0]
         if m["better"] == "higher":
             shift = -shift
-        ok = shift <= m["bound"]
-        worse += not ok
+        v = shift_verdict(shift, m["bound"])
+        bad += v != "ok"
         print(f"{m['name']:<20} {meds[0]:>12.6g} {meds[1]:>12.6g} "
-              f"{shift:>8.4f} {m['bound']:>6}  {'ok' if ok else 'WORSE'}")
-    return 1 if worse else 0
+              f"{shift:>8.4f} {m['bound']:>6}  {v}")
+    return 1 if bad else 0
 
 
 def cmd_replay(args, _spec):

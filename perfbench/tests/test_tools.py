@@ -3,6 +3,8 @@ building the result line, the spread statistics, and the shape of
 BENCHMARK.json. Run with: python3 -m unittest discover perfbench/tests
 (or python3 perfbench/selftest.py, which also runs the C++ checks)."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -116,10 +118,24 @@ class Spread(unittest.TestCase):
         self.assertEqual(med, statistics.median(values))
 
     def test_verdicts(self):
-        self.assertEqual(steady.verdict("ops_per_s", 0.02, 0.1), "steady")
-        self.assertEqual(steady.verdict("ops_per_s", 0.05, 0.1), "within")
-        self.assertEqual(steady.verdict("ops_per_s", 0.2, 0.1), "TOO WIDE")
-        self.assertTrue(steady.verdict("setup_s", 0.9, 0.25).startswith("n/a"))
+        self.assertEqual(steady.verdict(0.02, 0.1), "steady")
+        self.assertEqual(steady.verdict(0.05, 0.1), "within")
+        self.assertEqual(steady.verdict(0.2, 0.1), "TOO WIDE")
+
+    def test_setup_s_is_held_to_its_bound(self):
+        runs = [{"result": {"metrics": {
+            "setup_s": {"value": v, "unit": "s"},
+            "ops_per_s": {"value": 100.0, "unit": "1/s"}}}}
+            for v in (0.3, 0.5, 0.3, 0.5, 0.3, 0.5, 0.3, 0.5)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            wide = steady.report_spread(runs, SPEC)
+        self.assertEqual(wide, 1)
+
+    def test_median_shift_counts_both_ways(self):
+        self.assertEqual(steady.shift_verdict(0.05, 0.1), "ok")
+        self.assertEqual(steady.shift_verdict(-0.05, 0.1), "ok")
+        self.assertEqual(steady.shift_verdict(-0.3, 0.1), "DISAGREE")
+        self.assertEqual(steady.shift_verdict(0.3, 0.1), "DISAGREE")
 
 
 class BenchmarkJson(unittest.TestCase):
