@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "tvg/delta_overlay.hpp"
+#include "tvg/departures.hpp"
 #include "tvg/query_engine.hpp"
 #include "tvg/schedule_index.hpp"
 #include "tvg/visited.hpp"
@@ -116,9 +117,10 @@ class ArenaLease {
 };
 
 /// The frozen-path model of the View concept the search kernels below
-/// are templated over: a (graph, compiled index) pair, forwarding every
-/// call straight to the index. The mutable path's OverlayView
-/// (delta_overlay.hpp) is the other model; both expose node_count /
+/// (and the shared read dispatch at the end of this file) are templated
+/// over: a (graph, compiled index) pair, forwarding every call straight
+/// to the index. The mutable path's OverlayView (delta_overlay.hpp) is
+/// the other model; both expose node_count /
 /// for_each_out (early-exit out-edge enumeration in CSR order) /
 /// edge_to / present / next_present(±cursor) / arrival /
 /// all_latency_constant with identical contracts, so each kernel is
@@ -160,61 +162,13 @@ struct FrozenView {
   return FrozenView{&g, &g.schedule_index()};
 }
 
-/// Enumerates admissible departure times for edge `eid` when ready at `t`
-/// under `policy`, bounded by `horizon`, invoking `fn(dep)` for each.
-/// `fn` returns false to stop the enumeration early (searches use this
-/// when their config budget runs out: an unbounded departure window over
-/// an infinite schedule offers unboundedly many departures).
-///
-/// Schedule queries go through the compiled index, whose kTimeInfinity
-/// result is the "no such time" sentinel (a user-supplied
-/// predicate_with_next accelerator returning the literal kTimeInfinity is
-/// likewise treated as absence and never reaches `fn`).
-///
-/// `View` needs only the presence subset of the kernel View concept
-/// (present / next_present(±cursor) / EventCursor) — the raw
-/// ScheduleIndex satisfies it too, which is what the packed multi-source
-/// kernel passes.
-template <typename View, typename Fn>
-void for_each_departure(const View& sx, EdgeId eid, Time t,
-                        Policy policy, Time horizon, Fn&& fn) {
-  switch (policy.kind) {
-    case WaitingPolicy::kNoWait: {
-      if (t != kTimeInfinity && t <= horizon && sx.present(eid, t)) fn(t);
-      return;
-    }
-    case WaitingPolicy::kWait: {
-      // Only the earliest departure matters for foremost-style searches:
-      // any later presence yields a later-or-equal arrival for constant
-      // latency, but NOT for general latencies. We still enumerate just
-      // the earliest here; general-latency exactness is the business of
-      // the TvgAutomaton search (core/), which enumerates all departures.
-      if (t == kTimeInfinity) return;  // sentinel: never ready
-      const Time dep = sx.next_present(eid, t);
-      if (dep != kTimeInfinity && dep <= horizon) fn(dep);
-      return;
-    }
-    case WaitingPolicy::kBoundedWait: {
-      // Departure window [t, last]: the policy's waiting bound clamped to
-      // the horizon. `last` may be kTimeInfinity (unbounded wait within an
-      // infinite horizon); termination then rests on the schedule running
-      // out of events or `fn` cutting the enumeration off. The cursor
-      // makes the walk over the window's presence events amortized-O(1)
-      // per event.
-      if (t == kTimeInfinity) return;  // sentinel: never ready
-      const Time last = std::min(policy.max_departure(t), horizon);
-      typename View::EventCursor cursor;
-      Time at = t;
-      while (at <= last && at != kTimeInfinity) {
-        const Time dep = sx.next_present(eid, at, cursor);
-        if (dep == kTimeInfinity || dep > last) return;
-        if (!fn(dep)) return;
-        if (dep == last) return;
-        at = dep + 1;  // time-arith: dep < kTimeInfinity (guarded above)
-      }
-      return;
-    }
-  }
+/// Lane-packing eligibility of the bit-parallel kernel, graph-wide:
+/// exact-predicate schedules may run user code (which could even
+/// re-enter a search), and non-constant latencies break the Wait-mode
+/// dominance argument. Ineligible graphs take per-source serial scans,
+/// exactly the code the packed path is measured against.
+[[nodiscard]] bool packable(const ScheduleIndex& sx) {
+  return sx.all_semi_periodic() && sx.all_latency_constant();
 }
 
 /// Per-expansion departure-enumeration budget shared by config_bfs's
@@ -263,8 +217,8 @@ void dijkstra_wait(const View& vw, std::span<const ConfigRec> initial,
       return false;
     }
     vw.for_each_out(v, [&](EdgeId eid) {
-      for_each_departure(vw, eid, t, Policy::wait(), limits.horizon,
-                         [&](Time dep) {
+      for_each_policy_departure(vw, eid, t, Policy::wait(), limits.horizon,
+                                /*wait_budget=*/1, [&](Time dep) {
         const Time arr = vw.arrival(eid, dep);
         if (arr == kTimeInfinity || arr > limits.horizon) return true;
         const NodeId to = vw.edge_to(eid);
@@ -404,7 +358,7 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
   const std::size_t max_expansion_steps = watchdog_steps(limits.max_configs);
 
   // Returns false once a budget is exhausted; that stops the departure
-  // enumeration feeding it (see for_each_departure).
+  // enumeration feeding it (see for_each_policy_departure).
   auto push = [&](const ConfigRec& c) -> bool {
     if (a.configs.size() >= limits.max_configs) {
       a.truncated = true;
@@ -433,8 +387,8 @@ void config_bfs(const View& vw, std::span<const ConfigRec> initial,
     const auto idx = static_cast<std::int64_t>(next);
     expansion_steps = 0;
     vw.for_each_out(cur.node, [&](EdgeId eid) {
-      for_each_departure(vw, eid, cur.time, policy, limits.horizon,
-                         [&](Time dep) {
+      for_each_policy_departure(vw, eid, cur.time, policy, limits.horizon,
+                                /*wait_budget=*/1, [&](Time dep) {
         if (++expansion_steps > max_expansion_steps) {
           a.truncated = true;
           return false;
@@ -473,10 +427,13 @@ void run_search(const View& vw, std::span<const ConfigRec> initial,
   config_bfs(vw, initial, policy, limits, a, goal);
 }
 
-void run_search(const TimeVaryingGraph& g, std::span<const ConfigRec> initial,
-                Policy policy, SearchLimits limits, SearchArenas& a,
-                std::optional<NodeId> goal = std::nullopt) {
-  run_search(frozen_view(g), initial, policy, limits, a, goal);
+/// run_search from the single root (source, start_time).
+template <typename View>
+void search_from(const View& vw, NodeId source, Time start_time,
+                 Policy policy, SearchLimits limits, SearchArenas& a,
+                 std::optional<NodeId> goal = std::nullopt) {
+  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
+  run_search(vw, {&root, 1}, policy, limits, a, goal);
 }
 
 // ---------------------------------------------------------------------------
@@ -695,7 +652,8 @@ bool packed_word(const TimeVaryingGraph& g, const ScheduleIndex& sx,
     if (pull_active) return;  // gather delivers these lanes from t + L on
     std::size_t steps = 0;
     for (const EdgeId eid : g.out_edges(v)) {
-      for_each_departure(sx, eid, t, policy, limits.horizon, [&](Time dep) {
+      for_each_policy_departure(sx, eid, t, policy, limits.horizon,
+                                /*wait_budget=*/1, [&](Time dep) {
         if (++steps > max_expansion_steps) {
           ok = false;
           return false;
@@ -904,8 +862,7 @@ template <typename View>
 ForemostTree foremost_arrivals_in(const View& vw, NodeId source,
                                   Time start_time, Policy policy,
                                   SearchLimits limits, SearchArenas& a) {
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(vw, {&root, 1}, policy, limits, a);
+  search_from(vw, source, start_time, policy, limits, a);
   ForemostTree tree;
   tree.source = source;
   tree.start_time = start_time;
@@ -949,8 +906,7 @@ ForemostScan foremost_scan(const TimeVaryingGraph& g, NodeId source,
                            Time start_time, Policy policy,
                            SearchLimits limits, SearchWorkspace& ws) {
   SearchArenas& a = ws.arenas();
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(g, {&root, 1}, policy, limits, a);
+  search_from(frozen_view(g), source, start_time, policy, limits, a);
   return ForemostScan{std::span<const Time>(a.arrival), a.truncated};
 }
 
@@ -982,12 +938,7 @@ void multi_source_foremost(const TimeVaryingGraph& g,
     }
   }
   const ScheduleIndex& sx = g.schedule_index();
-  // Lane-packing eligibility is graph-wide: exact-predicate schedules
-  // may run user code (which could even re-enter a search), and
-  // non-constant latencies break the Wait-mode dominance argument — both
-  // take the per-source serial path below, which is exactly the code the
-  // packed path is measured against.
-  const bool eligible = sx.all_semi_periodic() && sx.all_latency_constant();
+  const bool eligible = packable(sx);
   if (eligible) {
     // One up-front reservation per closure call: the packed scratch is
     // assign()ed per word, so sizing it here keeps the 10^6-node sweeps
@@ -1060,22 +1011,19 @@ std::optional<Journey> shortest_journey_in(const View& vw, NodeId source,
       for (NodeId v = 0; v < n; ++v) {
         if (cur[v] == kTimeInfinity) continue;
         vw.for_each_out(v, [&](EdgeId eid) {
-          for_each_departure(vw, eid, cur[v], Policy::wait(), limits.horizon,
-                             [&](Time dep) {
-                               const Time a = vw.arrival(eid, dep);
-                               if (a == kTimeInfinity || a > limits.horizon)
-                                 return true;
-                               const NodeId to = vw.edge_to(eid);
-                               if (a < next[to]) {
-                                 next[to] = a;
-                                 parents.push_back(ConfigRec{
-                                     to, a, cfg_of[v], eid, dep});
-                                 next_cfg[to] = static_cast<std::int64_t>(
-                                                    parents.size()) -
-                                                1;
-                               }
-                               return true;
-                             });
+          for_each_policy_departure(vw, eid, cur[v], Policy::wait(),
+                                    limits.horizon, /*wait_budget=*/1,
+                                    [&](Time dep) {
+            const Time a = vw.arrival(eid, dep);
+            if (a == kTimeInfinity || a > limits.horizon) return true;
+            const NodeId to = vw.edge_to(eid);
+            if (a < next[to]) {
+              next[to] = a;
+              parents.push_back(ConfigRec{to, a, cfg_of[v], eid, dep});
+              next_cfg[to] = static_cast<std::int64_t>(parents.size()) - 1;
+            }
+            return true;
+          });
           return true;
         });
       }
@@ -1093,8 +1041,7 @@ std::optional<Journey> shortest_journey_in(const View& vw, NodeId source,
     return std::nullopt;
   }
   SearchArenas& a = arenas;
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(vw, {&root, 1}, policy, limits, a, target);
+  search_from(vw, source, start_time, policy, limits, a, target);
   if (a.first_goal < 0) return std::nullopt;
   return journey_from_config(a.configs, a.first_goal, source, start_time);
 }
@@ -1149,8 +1096,7 @@ FastestJourneyResult fastest_journey_checked_in(
   std::optional<Journey> best;
   Time best_duration = kTimeInfinity;
   for (Time s : candidates) {
-    const ConfigRec root{source, s, -1, kInvalidEdge, 0};
-    run_search(vw, {&root, 1}, policy, limits, a);
+    search_from(vw, source, s, policy, limits, a);
     if (a.truncated) result.truncated = true;
     if (a.best[target] < 0) continue;
     Journey j = journey_from_config(a.configs, a.best[target], source, s);
@@ -1225,8 +1171,7 @@ std::vector<bool> reachable_set(const TimeVaryingGraph& g, NodeId source,
                                 SearchLimits limits) {
   ArenaLease lease;
   SearchArenas& a = *lease;
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(g, {&root, 1}, policy, limits, a);
+  search_from(frozen_view(g), source, start_time, policy, limits, a);
   std::vector<bool> reach(g.node_count(), false);
   for (NodeId v = 0; v < g.node_count(); ++v) {
     reach[v] = a.arrival[v] != kTimeInfinity;
@@ -1267,9 +1212,7 @@ void for_each_closure_word(const TimeVaryingGraph& g, Time start_time,
   // serial scans per call — chunk by single rows there so the early
   // exit keeps its old per-source granularity (a disconnect after one
   // scan must not cost 64).
-  const ScheduleIndex& sx = g.schedule_index();
-  const std::size_t word_size =
-      sx.all_semi_periodic() && sx.all_latency_constant() ? 64 : 1;
+  const std::size_t word_size = packable(g.schedule_index()) ? 64 : 1;
   SearchWorkspace ws;
   std::vector<NodeId> sources;
   std::vector<std::vector<Time>> rows;
@@ -1333,51 +1276,174 @@ std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
 }
 
 // ---------------------------------------------------------------------------
-// Overlay-aware entry points (declared in delta_overlay.hpp): the same
-// kernel templates instantiated over OverlayView instead of FrozenView.
-// Defined here, next to the kernels, so the two instantiations can never
-// drift apart.
+// The read dispatch both engines share (declared in query_engine.hpp):
+// QueryEngine passes its frozen graph, MutableEngine its epoch plus the
+// captured delta. One body per query kind, instantiated over FrozenView
+// or OverlayView, so frozen and overlay reads can never drift apart.
 // ---------------------------------------------------------------------------
 
-namespace overlay {
+namespace {
 
-ForemostTree foremost_arrivals(const OverlayView& view, NodeId source,
-                               Time start_time, Policy policy,
-                               SearchLimits limits, SearchWorkspace& ws) {
-  return foremost_arrivals_in(view, source, start_time, policy, limits,
-                              ws.arenas());
+template <typename View>
+JourneyResult run_journey_in(const View& vw, const JourneyQuery& q,
+                             SearchArenas& a, std::uint64_t* footprint) {
+  JourneyResult result;
+  switch (q.objective) {
+    case JourneyObjective::kForemost: {
+      // A targeted query moves the arenas into a ForemostTree that frees
+      // them on return, as foremost_arrivals does. Keeping them in the
+      // workspace instead measured ~9 us slower per MutableEngine::apply
+      // in the live_schedule benchmark's journey/mutation mix on a 4-vCPU
+      // VM (a heap-trimming effect: raising glibc's trim threshold
+      // recovers most of it).
+      ForemostTree tree;
+      std::span<const Time> arrival;
+      if (q.target) {
+        tree = foremost_arrivals_in(vw, q.source, q.start_time, q.policy,
+                                    q.limits, a);
+        result.truncated = tree.truncated;
+        result.arrival = tree.arrival[*q.target];
+        if (tree.best_config[*q.target] >= 0) {
+          result.journey =
+              journey_from_config(tree.configs, tree.best_config[*q.target],
+                                  q.source, q.start_time);
+        }
+        arrival = tree.arrival;
+      } else {
+        search_from(vw, q.source, q.start_time, q.policy, q.limits, a);
+        result.truncated = a.truncated;
+        result.arrivals.assign(a.arrival.begin(), a.arrival.end());
+        arrival = a.arrival;
+      }
+      if (footprint != nullptr && !result.truncated) {
+        // An untruncated row depends only on the reached nodes' edges.
+        *footprint = footprint_bit(q.source);
+        for (NodeId v = 0; v < arrival.size(); ++v) {
+          if (arrival[v] != kTimeInfinity) *footprint |= footprint_bit(v);
+        }
+      }
+      return result;
+    }
+    case JourneyObjective::kShortest: {
+      // Shortest/fastest results have no cheap reached-set by-product;
+      // they keep the all-partitions footprint.
+      result.journey = shortest_journey_in(vw, q.source, *q.target,
+                                           q.start_time, q.policy, q.limits,
+                                           a);
+      if (result.journey) {
+        result.arrival = journey_arrival_in(vw, *result.journey);
+      }
+      return result;
+    }
+    case JourneyObjective::kFastest: {
+      FastestJourneyResult fastest = fastest_journey_checked_in(
+          vw, q.source, *q.target, q.start_time, q.depart_hi, q.policy,
+          q.limits, a);
+      result.truncated = fastest.truncated;
+      result.journey = std::move(fastest.journey);
+      if (result.journey) {
+        result.arrival = journey_arrival_in(vw, *result.journey);
+        result.duration =  // time-arith: mirrors Journey::duration exactly
+            result.journey->legs.empty()
+                ? 0
+                : result.arrival - result.journey->legs.front().departure;
+      }
+      return result;
+    }
+  }
+  return result;
 }
 
-ForemostScan foremost_scan(const OverlayView& view, NodeId source,
-                           Time start_time, Policy policy, SearchLimits limits,
-                           SearchWorkspace& ws) {
-  SearchArenas& a = ws.arenas();
-  const ConfigRec root{source, start_time, -1, kInvalidEdge, 0};
-  run_search(view, {&root, 1}, policy, limits, a);
-  return ForemostScan{std::span<const Time>(a.arrival), a.truncated};
+}  // namespace
+
+namespace detail {
+
+JourneyResult run_journey(const TimeVaryingGraph& g,
+                          const OverlaySnapshot* overlay,
+                          const JourneyQuery& q, SearchWorkspace& ws,
+                          std::uint64_t* footprint) {
+  if (q.source >= g.node_count()) {
+    throw std::out_of_range("run: source out of range");
+  }
+  if (q.target && *q.target >= g.node_count()) {
+    throw std::out_of_range("run: target out of range");
+  }
+  if (q.objective != JourneyObjective::kForemost && !q.target) {
+    throw std::invalid_argument(
+        "run: shortest and fastest objectives require a target");
+  }
+  if (q.objective == JourneyObjective::kFastest && q.depart_hi < q.start_time) {
+    throw std::invalid_argument(
+        "run: fastest depart_hi precedes start_time (empty departure window)");
+  }
+  if (footprint != nullptr) *footprint = kFootprintAll;
+  if (overlay == nullptr || overlay->empty()) {
+    return run_journey_in(frozen_view(g), q, ws.arenas(), footprint);
+  }
+  return run_journey_in(OverlayView(g, g.schedule_index(), *overlay), q,
+                        ws.arenas(), footprint);
 }
 
-std::optional<Journey> shortest_journey(const OverlayView& view, NodeId source,
-                                        NodeId target, Time start_time,
-                                        Policy policy, SearchLimits limits,
-                                        SearchWorkspace& ws) {
-  return shortest_journey_in(view, source, target, start_time, policy, limits,
-                             ws.arenas());
+std::vector<NodeId> closure_sources(const TimeVaryingGraph& g,
+                                    const std::vector<NodeId>& sources,
+                                    const char* what) {
+  std::vector<NodeId> out = sources;
+  if (out.empty()) {
+    out.resize(g.node_count());
+    for (NodeId v = 0; v < g.node_count(); ++v) out[v] = v;
+  }
+  for (const NodeId u : out) {
+    if (u >= g.node_count()) throw std::out_of_range(what);
+  }
+  return out;
 }
 
-FastestJourneyResult fastest_journey_checked(const OverlayView& view,
-                                             NodeId source, NodeId target,
-                                             Time depart_lo, Time depart_hi,
-                                             Policy policy, SearchLimits limits,
-                                             SearchWorkspace& ws) {
-  return fastest_journey_checked_in(view, source, target, depart_lo, depart_hi,
-                                    policy, limits, ws.arenas());
+ClosureResult run_closure(const TimeVaryingGraph& g,
+                          const OverlaySnapshot* overlay,
+                          std::span<const NodeId> sources,
+                          const ClosureQuery& q, const ReadExecutor& exec) {
+  ClosureResult result;
+  result.rows.resize(sources.size());
+  std::vector<char> truncated(sources.size(), 0);
+  const bool frozen = overlay == nullptr || overlay->empty();
+  if (frozen && packable(g.schedule_index())) {
+    // The shard unit is the 64-source word: each task runs one packed
+    // word (or the per-source fallback multi_source_foremost guarantees
+    // reproduces it) and writes only its own 64-row slice.
+    const std::size_t words = (sources.size() + 63) / 64;
+    exec.parallel_for(words, q.threads, [&](std::size_t w,
+                                            SearchWorkspace& ws) {
+      const std::size_t lo = w * 64;
+      const std::size_t count = std::min<std::size_t>(64, sources.size() - lo);
+      multi_source_foremost(
+          g, sources.subspan(lo, count), q.start_time, q.policy, q.limits,
+          q.direction, ws,
+          std::span<std::vector<Time>>(result.rows).subspan(lo, count),
+          std::span<char>(truncated).subspan(lo, count));
+    });
+  } else {
+    // The packed kernel is frozen-only, so overlay rows (like rows of an
+    // ineligible graph) are per-source serial scans, one source per task.
+    const auto scan_all = [&](const auto& vw) {
+      exec.parallel_for(sources.size(), q.threads, [&](std::size_t i,
+                                                       SearchWorkspace& ws) {
+        SearchArenas& a = ws.arenas();
+        search_from(vw, sources[i], q.start_time, q.policy, q.limits, a);
+        result.rows[i].assign(a.arrival.begin(), a.arrival.end());
+        truncated[i] = a.truncated ? 1 : 0;
+      });
+    };
+    if (frozen) {
+      scan_all(frozen_view(g));
+    } else {
+      scan_all(OverlayView(g, g.schedule_index(), *overlay));
+    }
+  }
+  result.truncated = std::any_of(truncated.begin(), truncated.end(),
+                                 [](char c) { return c != 0; });
+  return result;
 }
 
-Time journey_arrival(const OverlayView& view, const Journey& j) {
-  return journey_arrival_in(view, j);
-}
-
-}  // namespace overlay
+}  // namespace detail
 
 }  // namespace tvg

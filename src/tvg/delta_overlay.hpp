@@ -32,12 +32,15 @@
 //  * DeltaOverlay — the mutation log plus its current snapshot. NOT
 //    thread-safe on its own; MutableEngine guards it (standalone use is
 //    fine single-threaded, e.g. the serialization round-trip).
-//  * MutableEngine — the serving façade: epoch-pointer concurrency
-//    (readers copy {epoch, overlay} under a mutex and then run lock-
-//    free), per-edge cache invalidation through footprint stamps
-//    (result_cache.hpp), and background compaction on a WorkerPool that
-//    folds the delta into a fresh epoch while readers keep serving the
-//    old one.
+//  * MutableEngine — the serving façade around the delta: the mutation
+//    log, epoch swap and compaction, and the footprint-invalidated
+//    journey cache (result_cache.hpp). An epoch is just a frozen graph.
+//    Readers copy {epoch, overlay} under a mutex and then run lock-free
+//    through the same read dispatch as QueryEngine (query_engine.hpp),
+//    over the epoch's FrozenView when the delta is empty and over the
+//    OverlayView otherwise. Background compaction on the engine's own
+//    WorkerPool folds the delta into a fresh epoch while readers keep
+//    serving the old one.
 //
 // Compaction keeps tombstoned edges (as never-present records), so an
 // EdgeId handed out by add_edge stays valid across any number of
@@ -405,60 +408,32 @@ class DeltaOverlay {
                                            const OverlaySnapshot& overlay);
 
 // ---------------------------------------------------------------------------
-// Overlay-aware search entry points (defined in algorithms.cpp, next to
-// the kernels they template). Same contracts as their frozen-graph
-// namesakes in algorithms.hpp, evaluated over base ∪ delta.
-// ---------------------------------------------------------------------------
-
-namespace overlay {
-
-[[nodiscard]] ForemostTree foremost_arrivals(const OverlayView& view,
-                                             NodeId source, Time start_time,
-                                             Policy policy, SearchLimits limits,
-                                             SearchWorkspace& ws);
-
-[[nodiscard]] ForemostScan foremost_scan(const OverlayView& view,
-                                         NodeId source, Time start_time,
-                                         Policy policy, SearchLimits limits,
-                                         SearchWorkspace& ws);
-
-[[nodiscard]] std::optional<Journey> shortest_journey(
-    const OverlayView& view, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
-[[nodiscard]] FastestJourneyResult fastest_journey_checked(
-    const OverlayView& view, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
-/// Journey::arrival evaluated through the view (Journey's own methods
-/// consult the base graph's edge table, which cannot resolve added-edge
-/// ids).
-[[nodiscard]] Time journey_arrival(const OverlayView& view, const Journey& j);
-
-}  // namespace overlay
-
-// ---------------------------------------------------------------------------
 // MutableEngine — the serving façade.
 // ---------------------------------------------------------------------------
 
-/// Mutable serving engine: a frozen epoch (graph + cache-disabled
-/// QueryEngine) plus a DeltaOverlay, swapped atomically under a mutex.
+/// Mutable serving engine: a frozen epoch (a graph with its compiled
+/// index and CSR built) plus a DeltaOverlay, swapped atomically under a
+/// mutex.
 ///
 ///  * Reads copy the {epoch, overlay} pair under the lock and then run
 ///    entirely on immutable state — a concurrent mutation or compaction
-///    never blocks or torments an in-flight query.
+///    never blocks or torments an in-flight query. They go through the
+///    read dispatch QueryEngine uses (detail::run_journey / run_closure
+///    in query_engine.hpp): the epoch's FrozenView when the captured
+///    delta is empty, the OverlayView of base ∪ delta otherwise, sharded
+///    on this engine's own worker and workspace pools.
 ///  * Mutations append to the delta, publish a fresh snapshot, and
 ///    invalidate exactly the cached results whose footprint intersects
 ///    the touched edge's endpoint partitions
 ///    (ResultCache::invalidate_keys_touching) — no generation bump.
-///  * The journey cache lives HERE (not in the epoch engines) with one
-///    fixed generation for the engine's lifetime: compaction is
-///    semantics-preserving, so surviving entries stay valid across it.
-///    A stale-insert race (mutation lands between a reader's snapshot
-///    capture and its insert) is closed by re-checking the mutation
-///    masks published since the capture. Closure results are served
-///    uncached (their footprint is the whole reached cone of every
-///    source; per-edge invalidation would drop them almost always).
+///  * The journey cache has one fixed generation for the engine's
+///    lifetime: compaction is semantics-preserving, so surviving entries
+///    stay valid across it. A stale-insert race (mutation lands between
+///    a reader's snapshot capture and its insert) is closed by
+///    re-checking the mutation masks published since the capture.
+///    Closure results are served uncached (their footprint is the whole
+///    reached cone of every source; per-edge invalidation would drop
+///    them almost always).
 ///  * compact() folds the pending delta into a fresh epoch;
 ///    compact_async() does the same on the engine's WorkerPool while
 ///    readers keep serving the old epoch. The destructor waits for an
@@ -537,29 +512,19 @@ class MutableEngine {
     return cache_ ? cache_->stats() : CacheStats{};
   }
   [[nodiscard]] WorkerPool::Stats worker_stats() const {
-    return pool_.stats();
+    return exec_.workers().stats();
   }
   [[nodiscard]] unsigned default_threads() const noexcept {
-    return default_threads_;
+    return exec_.default_threads();
   }
 
  private:
-  /// One frozen generation of the graph: the compiled graph plus a
-  /// cache-disabled QueryEngine over it (the MutableEngine-level cache
-  /// is the only cache — epoch engines must not keep entries a later
-  /// epoch could not serve). Immovable once built; held via shared_ptr
-  /// so readers outlive a swap.
-  struct Epoch {
-    TimeVaryingGraph graph;
-    QueryEngine engine;
-    Epoch(TimeVaryingGraph g, unsigned threads)
-        : graph(std::move(g)),
-          engine(graph, threads, CacheConfig::disabled()) {}
-  };
-
   /// What a reader copies under mu_: a consistent epoch/snapshot pair.
+  /// An epoch is one frozen generation of the graph (compiled index and
+  /// CSR built before it is published), held via shared_ptr so readers
+  /// outlive a swap.
   struct State {
-    std::shared_ptr<const Epoch> epoch;
+    std::shared_ptr<const TimeVaryingGraph> epoch;
     std::shared_ptr<const OverlaySnapshot> overlay;
   };
 
@@ -573,8 +538,6 @@ class MutableEngine {
   };
 
   [[nodiscard]] State capture(std::uint64_t* seq_out) const TVG_EXCLUDES(mu_);
-  [[nodiscard]] JourneyResult run_state(const State& s, const JourneyQuery& q,
-                                        std::uint64_t* footprint_out) const;
   /// True iff no mutation with an intersecting mask landed in
   /// (captured_seq, now].
   [[nodiscard]] bool insert_allowed_locked(std::uint64_t captured_seq,
@@ -582,13 +545,6 @@ class MutableEngine {
       TVG_REQUIRES(mu_);
   void do_compact();  // one capture → fold → swap cycle (flag already set)
 
-  // Workspace pool (same lease discipline as QueryEngine's).
-  [[nodiscard]] std::unique_ptr<SearchWorkspace> lease_ws() const
-      TVG_EXCLUDES(ws_mu_);
-  void return_ws(std::unique_ptr<SearchWorkspace> ws) const
-      TVG_EXCLUDES(ws_mu_);
-
-  unsigned default_threads_{1};
   mutable Mutex mu_;
   State state_ TVG_GUARDED_BY(mu_);
   std::optional<DeltaOverlay> delta_ TVG_GUARDED_BY(mu_);
@@ -596,15 +552,11 @@ class MutableEngine {
   mutable CondVar compaction_cv_;
   std::deque<MaskRec> mask_history_ TVG_GUARDED_BY(mu_);
 
-  mutable Mutex ws_mu_;
-  mutable std::vector<std::unique_ptr<SearchWorkspace>> ws_pool_
-      TVG_GUARDED_BY(ws_mu_);
-
   std::unique_ptr<ResultCache> cache_;
   ResultCache::Generation generation_{0};
   /// Declared last: destroyed first, so a just-finished background
   /// compaction's worker is joined before any state it touched dies.
-  mutable WorkerPool pool_;
+  detail::ReadExecutor exec_;
 };
 
 }  // namespace tvg

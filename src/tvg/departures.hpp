@@ -1,20 +1,21 @@
-// Shared departure enumeration for the configuration walkers (batched
-// acceptance, constrained journeys, exhaustive enumeration).
+// The one departure enumerator shared by every configuration walker:
+// the search kernels (algorithms.cpp), batched acceptance, constrained
+// journeys and exhaustive enumeration.
 //
 // One policy switch instead of a hand-rolled copy per walker: admissible
-// departures for an edge when ready at t, clamped to the horizon, with
-// the compiled index's kTimeInfinity next_present result treated as the
-// "no such time" sentinel (see the for_each_departure contract note in
-// algorithms.cpp — the search kernels keep their own specialized
-// enumerator there because Wait dominance lets them take only the
-// earliest departure).
+// departures for an edge when ready at t, clamped to the horizon. The
+// compiled index's kTimeInfinity next_present result is the "no such
+// time" sentinel and never reaches the callback (a user-supplied
+// predicate_with_next accelerator returning the literal kTimeInfinity is
+// likewise treated as absence).
 //
 // Under Wait the departure window is unbounded, so the enumeration is
 // capped at `wait_budget` candidates: pass 1 when arrival is monotone in
-// the departure (affine ζ — the earliest departure dominates and the cap
-// is exact), or the caller's departures-per-edge budget otherwise.
-// Latencies are non-negative, so clamping departures to the horizon
-// never hides an in-horizon arrival.
+// the departure (constant or affine ζ — the earliest departure dominates
+// and the cap is exact; the search kernels always pass 1), or the
+// caller's departures-per-edge budget otherwise. Latencies are
+// non-negative, so clamping departures to the horizon never hides an
+// in-horizon arrival.
 #pragma once
 
 #include <algorithm>
@@ -60,15 +61,20 @@ void for_each_policy_departure(const Index& sx, EdgeId eid, Time t,
       return;
     }
     case WaitingPolicy::kWait: {
-      if (t == kTimeInfinity) return;  // see the bounded-wait note
+      if (t == kTimeInfinity || wait_budget == 0) return;  // see bounded wait
+      // The first departure goes through the cursor-free query: seeding
+      // a cursor costs a division and two binary searches on endpoint-run
+      // schedules, and with wait_budget = 1 (every search kernel) it
+      // would never be used again.
+      Time dep = sx.next_present(eid, t);
+      if (dep == kTimeInfinity || dep > horizon || !fn(dep)) return;
       typename Index::EventCursor cursor;
-      Time at = t;
-      for (std::size_t k = 0; k < wait_budget; ++k) {
+      for (std::size_t k = 1; k < wait_budget; ++k) {
+        const Time at = dep + 1;  // time-arith: dep < kTimeInfinity
         if (at == kTimeInfinity) return;
-        const Time dep = sx.next_present(eid, at, cursor);
+        dep = sx.next_present(eid, at, cursor);
         if (dep == kTimeInfinity || dep > horizon) return;
         if (!fn(dep)) return;
-        at = dep + 1;  // time-arith: dep < kTimeInfinity (guarded above)
       }
       return;
     }

@@ -96,17 +96,46 @@ template <typename Config>
 // Construction and the workspace pool
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+void freeze_compiled(const TimeVaryingGraph& g) {
+  (void)g.schedule_index();
+  if (g.node_count() > 0) (void)g.out_edges(0);
+}
+
+ReadExecutor::ReadExecutor(unsigned default_threads)
+    : default_threads_(default_threads != 0
+                           ? default_threads
+                           : std::max(1u,
+                                      std::thread::hardware_concurrency())) {}
+
+ReadExecutor::Lease::~Lease() {
+  if (!ws_) return;
+  const MutexLock lock(owner_.mu_);
+  owner_.free_.push_back(std::move(ws_));
+}
+
+ReadExecutor::Lease ReadExecutor::lease() const {
+  {
+    const MutexLock lock(mu_);
+    if (!free_.empty()) {
+      auto ws = std::move(free_.back());
+      free_.pop_back();
+      return Lease(*this, std::move(ws));
+    }
+  }
+  return Lease(*this, std::make_unique<SearchWorkspace>());
+}
+
+}  // namespace detail
+
 QueryEngine::QueryEngine(const TimeVaryingGraph& g, unsigned default_threads,
                          CacheConfig cache)
-    : g_(g), default_threads_(default_threads) {
-  if (default_threads_ == 0) {
-    default_threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-  // Freeze both compiled representations now, while we are certainly
-  // single-threaded: the lazy rebuilds inside TimeVaryingGraph are not
-  // safe to race, and every engine entry point may run on worker threads.
-  (void)g_.schedule_index();
-  if (g_.node_count() > 0) (void)g_.out_edges(0);
+    : g_(g), exec_(default_threads) {
+  // Every entry point may run on worker threads, so the compiled
+  // representations are built now, while we are certainly
+  // single-threaded.
+  detail::freeze_compiled(g_);
   if (cache.enabled && cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(cache);
     generation_ = ResultCache::next_generation();
@@ -115,138 +144,36 @@ QueryEngine::QueryEngine(const TimeVaryingGraph& g, unsigned default_threads,
 
 QueryEngine::~QueryEngine() = default;
 
-QueryEngine::Lease::~Lease() {
-  if (!ws_) return;
-  const MutexLock lock(engine_.pool_mu_);
-  engine_.pool_.push_back(std::move(ws_));
-}
-
-QueryEngine::Lease QueryEngine::lease() const {
-  {
-    const MutexLock lock(pool_mu_);
-    if (!pool_.empty()) {
-      auto ws = std::move(pool_.back());
-      pool_.pop_back();
-      return Lease(*this, std::move(ws));
-    }
-  }
-  return Lease(*this, std::make_unique<SearchWorkspace>());
-}
-
-template <typename Fn>
-void QueryEngine::parallel_for(std::size_t n, unsigned threads,
-                               Fn&& fn) const {
-  if (threads == 0) threads = default_threads_;
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(n, 1)));
-  if (threads <= 1) {
-    Lease ws = lease();
-    for (std::size_t i = 0; i < n; ++i) fn(i, *ws);
-    return;
-  }
-  // One leased workspace per participant slot, held for the whole batch
-  // (a slot's claim loop reuses it across every index it runs — same
-  // lease discipline as the per-call threads this pool replaced, minus
-  // the thread-creation latency). The pool's abort-flag semantics are
-  // unchanged: the first failing index stops further claiming and its
-  // exception is rethrown here after the batch drains.
-  std::vector<Lease> leases;
-  leases.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) leases.push_back(lease());
-  workers_.parallel_for(n, threads, [&](std::size_t i, unsigned slot) {
-    fn(i, *leases[slot]);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // Journey queries
 // ---------------------------------------------------------------------------
 
-JourneyResult QueryEngine::run_on(const JourneyQuery& q,
-                                  SearchWorkspace& ws) const {
-  if (q.source >= g_.node_count()) {
-    throw std::out_of_range("QueryEngine::run: source out of range");
-  }
-  if (q.target && *q.target >= g_.node_count()) {
-    throw std::out_of_range("QueryEngine::run: target out of range");
-  }
-  JourneyResult result;
-  switch (q.objective) {
-    case JourneyObjective::kForemost: {
-      if (q.target) {
-        const ForemostTree tree = foremost_arrivals(
-            g_, q.source, q.start_time, q.policy, q.limits, ws);
-        result.truncated = tree.truncated;
-        result.arrival = tree.arrival[*q.target];
-        result.journey = tree.journey_to(g_, *q.target);
-      } else {
-        const ForemostScan scan = foremost_scan(g_, q.source, q.start_time,
-                                                q.policy, q.limits, ws);
-        result.truncated = scan.truncated;
-        result.arrivals.assign(scan.arrival.begin(), scan.arrival.end());
-      }
-      return result;
-    }
-    case JourneyObjective::kShortest: {
-      if (!q.target) {
-        throw std::invalid_argument(
-            "QueryEngine::run: shortest objective requires a target");
-      }
-      result.journey = shortest_journey(g_, q.source, *q.target,
-                                        q.start_time, q.policy, q.limits, ws);
-      if (result.journey) result.arrival = result.journey->arrival(g_);
-      return result;
-    }
-    case JourneyObjective::kFastest: {
-      if (!q.target) {
-        throw std::invalid_argument(
-            "QueryEngine::run: fastest objective requires a target");
-      }
-      if (q.depart_hi < q.start_time) {
-        throw std::invalid_argument(
-            "QueryEngine::run: fastest depart_hi precedes start_time "
-            "(empty departure window)");
-      }
-      FastestJourneyResult fastest = fastest_journey_checked(
-          g_, q.source, *q.target, q.start_time, q.depart_hi, q.policy,
-          q.limits, ws);
-      result.truncated = fastest.truncated;
-      result.journey = std::move(fastest.journey);
-      if (result.journey) {
-        result.arrival = result.journey->arrival(g_);
-        result.duration = result.journey->duration(g_);
-      }
-      return result;
-    }
-  }
-  return result;
-}
-
 JourneyResult QueryEngine::run(const JourneyQuery& q) const {
   // Only results of successful runs are ever inserted, so a cache hit
-  // can never mask the validation throws in run_on: a query that would
-  // throw has no entry to hit.
+  // can never mask the validation throws in run_journey: a query that
+  // would throw has no entry to hit.
   if (cache_) {
     const QueryKey key = QueryKey::journey(q);
     if (const auto hit = cache_->find(key, generation_)) {
       return *static_cast<const JourneyResult*>(hit.get());
     }
-    Lease ws = lease();
-    const auto owned = std::make_shared<const JourneyResult>(run_on(q, *ws));
+    auto ws = exec_.lease();
+    const auto owned = std::make_shared<const JourneyResult>(
+        detail::run_journey(g_, nullptr, q, *ws, nullptr));
     cache_->insert(key, generation_, owned, approx_bytes(*owned));
     return *owned;
   }
-  Lease ws = lease();
-  return run_on(q, *ws);
+  auto ws = exec_.lease();
+  return detail::run_journey(g_, nullptr, q, *ws, nullptr);
 }
 
 std::vector<JourneyResult> QueryEngine::run(
     std::span<const JourneyQuery> queries, unsigned threads) const {
   std::vector<JourneyResult> results(queries.size());
   if (!cache_) {
-    parallel_for(queries.size(), threads, [&](std::size_t i,
-                                              SearchWorkspace& ws) {
-      results[i] = run_on(queries[i], ws);
+    exec_.parallel_for(queries.size(), threads,
+                       [&](std::size_t i, SearchWorkspace& ws) {
+      results[i] = detail::run_journey(g_, nullptr, queries[i], ws, nullptr);
     });
     return results;
   }
@@ -272,11 +199,11 @@ std::vector<JourneyResult> QueryEngine::run(
       dups.emplace_back(i, it->second);
     }
   }
-  parallel_for(misses.size(), threads, [&](std::size_t k,
-                                           SearchWorkspace& ws) {
+  exec_.parallel_for(misses.size(), threads,
+                     [&](std::size_t k, SearchWorkspace& ws) {
     const std::size_t i = misses[k];
-    const auto owned =
-        std::make_shared<const JourneyResult>(run_on(queries[i], ws));
+    const auto owned = std::make_shared<const JourneyResult>(
+        detail::run_journey(g_, nullptr, queries[i], ws, nullptr));
     cache_->insert(keys[i], generation_, owned, approx_bytes(*owned));
     results[i] = *owned;
   });
@@ -291,16 +218,8 @@ std::vector<JourneyResult> QueryEngine::run(
 // ---------------------------------------------------------------------------
 
 ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
-  std::vector<NodeId> sources = q.sources;
-  if (sources.empty()) {
-    sources.resize(g_.node_count());
-    for (NodeId v = 0; v < g_.node_count(); ++v) sources[v] = v;
-  }
-  for (const NodeId u : sources) {
-    if (u >= g_.node_count()) {
-      throw std::out_of_range("QueryEngine::closure: source out of range");
-    }
-  }
+  const std::vector<NodeId> sources = detail::closure_sources(
+      g_, q.sources, "QueryEngine::closure: source out of range");
   // Keyed on the materialized source list (so the implicit "all nodes"
   // spelling shares an entry with the explicit one) and without the
   // threads knob (rows are bit-identical at any thread count).
@@ -311,29 +230,7 @@ ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
       return *static_cast<const ClosureResult*>(hit.get());
     }
   }
-  ClosureResult result;
-  result.rows.resize(sources.size());
-  std::vector<char> truncated(sources.size(), 0);
-  // Bit-parallel kernel: sources pack 64 per lane word, and the shard
-  // unit is the WORD-GROUP, not the source — each task runs one packed
-  // word (or its per-source fallback) and writes only its own 64-row
-  // slice, so the merged matrix is independent of scheduling:
-  // bit-identical at any thread count to the serial per-source sweep
-  // (which multi_source_foremost itself guarantees to reproduce).
-  const std::size_t words = (sources.size() + 63) / 64;
-  parallel_for(words, q.threads, [&](std::size_t w, SearchWorkspace& ws) {
-    const std::size_t lo = w * 64;
-    const std::size_t count = std::min<std::size_t>(64, sources.size() - lo);
-    multi_source_foremost(
-        g_, std::span<const NodeId>(sources).subspan(lo, count),
-        q.start_time, q.policy, q.limits, q.direction, ws,
-        std::span<std::vector<Time>>(result.rows).subspan(lo, count),
-        std::span<char>(truncated).subspan(lo, count));
-  });
-  result.truncated =
-      std::any_of(truncated.begin(), truncated.end(), [](char c) {
-        return c != 0;
-      });
+  ClosureResult result = detail::run_closure(g_, nullptr, sources, q, exec_);
   if (cache_) {
     const auto owned =
         std::make_shared<const ClosureResult>(std::move(result));
@@ -352,22 +249,6 @@ ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
 
 namespace {
 
-/// The "empty = every node" expansion + bounds check shared by closure()
-/// and the analytics entry points.
-[[nodiscard]] std::vector<NodeId> materialize_sources(
-    const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
-    const char* what) {
-  std::vector<NodeId> out = sources;
-  if (out.empty()) {
-    out.resize(g.node_count());
-    for (NodeId v = 0; v < g.node_count(); ++v) out[v] = v;
-  }
-  for (const NodeId u : out) {
-    if (u >= g.node_count()) throw std::out_of_range(what);
-  }
-  return out;
-}
-
 /// Column-shard width for the analytics reduces: wide enough that a task
 /// streams whole cache lines, narrow enough to load-balance 10^5-node
 /// graphs over any pool size.
@@ -378,7 +259,7 @@ constexpr std::size_t kColumnChunk = 4096;
 KReachabilityResult QueryEngine::k_reachability(
     const KReachabilityQuery& q) const {
   const std::vector<NodeId> sources =
-      materialize_sources(g_, q.closure.sources,
+      detail::closure_sources(g_, q.closure.sources,
                           "QueryEngine::k_reachability: source out of range");
   QueryKey key;
   if (cache_) {
@@ -395,7 +276,7 @@ KReachabilityResult QueryEngine::k_reachability(
   // Each task owns a contiguous column range: writes are disjoint and
   // every count is a plain integer sum — identical at any thread count.
   const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  parallel_for(chunks, q.closure.threads,
+  exec_.parallel_for(chunks, q.closure.threads,
                [&](std::size_t c, SearchWorkspace&) {
                  const std::size_t lo = c * kColumnChunk;
                  const std::size_t hi = std::min(n, lo + kColumnChunk);
@@ -458,7 +339,7 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
     // cone's min-fold and the threshold counts are all integral, so the
     // curve is identical at any thread count.
     std::vector<std::vector<std::size_t>> partial(chunks);
-    parallel_for(chunks, q.threads, [&](std::size_t c, SearchWorkspace&) {
+    exec_.parallel_for(chunks, q.threads, [&](std::size_t c, SearchWorkspace&) {
       auto& p = partial[c];
       p.assign(samples + 1, 0);
       const std::size_t lo = c * kColumnChunk;
@@ -493,7 +374,7 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
 }
 
 BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
-  const std::vector<NodeId> sources = materialize_sources(
+  const std::vector<NodeId> sources = detail::closure_sources(
       g_, q.sources, "QueryEngine::betweenness: source out of range");
   QueryKey key;
   if (cache_) {
@@ -510,7 +391,7 @@ BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
   // contribution is an integer-valued double (witness-path counts), so
   // the commutative merge cannot change any score bit.
   Mutex merge_mu;
-  parallel_for(
+  exec_.parallel_for(
       sources.size(), q.threads, [&](std::size_t i, SearchWorkspace& ws) {
         const ForemostTree tree = foremost_arrivals(
             g_, sources[i], q.start_time, q.policy, q.limits, ws);
@@ -554,7 +435,7 @@ BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
 }
 
 CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
-  const std::vector<NodeId> sources = materialize_sources(
+  const std::vector<NodeId> sources = detail::closure_sources(
       g_, q.closure.sources, "QueryEngine::centrality: source out of range");
   QueryKey key;
   if (cache_) {
@@ -571,7 +452,7 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
   // round so the iteration never materializes an S x n double matrix on
   // top of the row block.
   std::vector<double> mass(s_count, 0.0);
-  parallel_for(s_count, q.closure.threads,
+  exec_.parallel_for(s_count, q.closure.threads,
                [&](std::size_t s, SearchWorkspace&) {
                  const std::vector<Time>& row = swept.rows[s];
                  double m = 0.0;
@@ -597,7 +478,7 @@ CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
     for (std::size_t s = 0; s < s_count; ++s) {
       source_score[s] = result.score[sources[s]];
     }
-    parallel_for(chunks, q.closure.threads,
+    exec_.parallel_for(chunks, q.closure.threads,
                  [&](std::size_t c, SearchWorkspace&) {
                    const std::size_t lo = c * kColumnChunk;
                    const std::size_t hi = std::min(n, lo + kColumnChunk);

@@ -7,6 +7,11 @@
 // that its entry points lease, so callers never pay per-query arena
 // allocation and never touch a lazily-built cache concurrently.
 //
+// run and closure go through the read dispatch declared below
+// (detail::run_journey / detail::run_closure), which MutableEngine
+// (delta_overlay.hpp) shares: the same validation, objective switch and
+// kernel choice answer a frozen graph here and base ∪ delta there.
+//
 // Entry points are typed request/response pairs:
 //
 //  * run(JourneyQuery)            -> JourneyResult      (one query)
@@ -36,11 +41,15 @@
 //    semantically invisible because the engine's compiled state is
 //    frozen for its whole lifetime.
 //
-// The pre-engine free functions (foremost_journey, temporal_closure,
-// TvgAutomaton::accepts, ...) remain as thin wrappers over this engine;
-// new code and anything batching more than one query should come here.
+// Of the pre-engine free functions, temporal_closure, the metrics sweeps
+// and TvgAutomaton::accepts wrap an engine; foremost_journey,
+// shortest_journey and the other single-query functions call the same
+// kernels directly on a thread-local arena. New code and anything
+// batching more than one query should come here.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -339,6 +348,119 @@ struct AcceptOutcome {
   friend bool operator==(const AcceptOutcome&, const AcceptOutcome&) = default;
 };
 
+class OverlaySnapshot;  // delta_overlay.hpp
+
+namespace detail {
+
+/// Builds `g`'s two lazily compiled representations (the ScheduleIndex
+/// and the CSR adjacency) up front. The lazy builds are not safe to
+/// race, so a graph is frozen before its reads are shared across threads
+/// (a QueryEngine's graph, a MutableEngine epoch).
+void freeze_compiled(const TimeVaryingGraph& g);
+
+/// What both engines shard their reads on: the persistent worker pool,
+/// the free list of SearchWorkspaces leased to entry points, and the
+/// default thread count.
+class ReadExecutor {
+ public:
+  /// `default_threads` = 0 picks the hardware concurrency.
+  explicit ReadExecutor(unsigned default_threads);
+
+  [[nodiscard]] unsigned default_threads() const noexcept {
+    return default_threads_;
+  }
+  [[nodiscard]] WorkerPool& workers() const noexcept { return workers_; }
+
+  /// RAII lease of a pooled workspace (returned on destruction).
+  class Lease {
+   public:
+    Lease(const ReadExecutor& owner, std::unique_ptr<SearchWorkspace> ws)
+        : owner_(owner), ws_(std::move(ws)) {}
+    ~Lease();
+    Lease(Lease&&) noexcept = default;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Lease& operator=(Lease&&) = delete;
+    [[nodiscard]] SearchWorkspace& operator*() noexcept { return *ws_; }
+
+   private:
+    const ReadExecutor& owner_;
+    std::unique_ptr<SearchWorkspace> ws_;
+  };
+  [[nodiscard]] Lease lease() const TVG_EXCLUDES(mu_);
+
+  /// Runs fn(index, workspace) for index in [0, n), sharded over
+  /// `threads` participants (0 = the default) of the worker pool, each
+  /// holding one leased workspace for the whole batch. One participant
+  /// runs inline on the caller without touching the pool. Rethrows the
+  /// first worker exception after the batch drains.
+  template <typename Fn>
+  void parallel_for(std::size_t n, unsigned threads, Fn&& fn) const {
+    if (threads == 0) threads = default_threads_;
+    threads = static_cast<unsigned>(
+        std::min<std::size_t>(threads, std::max<std::size_t>(n, 1)));
+    if (threads <= 1) {
+      Lease ws = lease();
+      for (std::size_t i = 0; i < n; ++i) fn(i, *ws);
+      return;
+    }
+    std::vector<Lease> leases;
+    leases.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t) leases.push_back(lease());
+    workers_.parallel_for(n, threads, [&](std::size_t i, unsigned slot) {
+      fn(i, *leases[slot]);
+    });
+  }
+
+ private:
+  unsigned default_threads_;
+  /// mu_ guards the workspace free list (lock discipline proved by
+  /// -Wthread-safety on the CI clang lane).
+  mutable Mutex mu_;
+  mutable std::vector<std::unique_ptr<SearchWorkspace>> free_
+      TVG_GUARDED_BY(mu_);
+  /// Lazily started on the first multi-threaded batch and reused across
+  /// calls. Declared last: its workers are joined before the free list
+  /// they lease from is destroyed.
+  mutable WorkerPool workers_;
+};
+
+// The read dispatch both engines share, written once over the kernels'
+// View concept (defined in algorithms.cpp next to the kernel templates).
+// A null or empty `overlay` reads the frozen graph `g` itself; otherwise
+// the reads go through the OverlayView of base `g` ∪ `overlay`.
+
+/// Validates `q` against `g` (throws std::out_of_range on a bad source
+/// or target, std::invalid_argument on a missing target or an empty
+/// fastest window) and runs it on `ws`. When `footprint` is non-null it
+/// receives the result's cache footprint: the reached-node partitions of
+/// an untruncated foremost search, kFootprintAll otherwise.
+[[nodiscard]] JourneyResult run_journey(const TimeVaryingGraph& g,
+                                        const OverlaySnapshot* overlay,
+                                        const JourneyQuery& q,
+                                        SearchWorkspace& ws,
+                                        std::uint64_t* footprint);
+
+/// A closure's source list: `sources`, or every node in NodeId order
+/// when it is empty. Throws std::out_of_range(`what`) on a bad source.
+[[nodiscard]] std::vector<NodeId> closure_sources(
+    const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
+    const char* what);
+
+/// Foremost rows from each of `sources` (already checked), sharded on
+/// `exec` at q.threads. On a frozen graph the lane-packing predicate
+/// picks the kernel: eligible graphs run 64-source packed words, one
+/// word per task; everything else runs per-source serial scans, one
+/// source per task. Each task writes only its own rows, so the matrix is
+/// bit-identical at any thread count.
+[[nodiscard]] ClosureResult run_closure(const TimeVaryingGraph& g,
+                                        const OverlaySnapshot* overlay,
+                                        std::span<const NodeId> sources,
+                                        const ClosureQuery& q,
+                                        const ReadExecutor& exec);
+
+}  // namespace detail
+
 /// The engine. See the header comment for the API and the guarantees.
 class QueryEngine {
  public:
@@ -360,7 +482,7 @@ class QueryEngine {
 
   [[nodiscard]] const TimeVaryingGraph& graph() const noexcept { return g_; }
   [[nodiscard]] unsigned default_threads() const noexcept {
-    return default_threads_;
+    return exec_.default_threads();
   }
 
   /// Worker threads the engine's persistent pool has spawned so far
@@ -368,7 +490,7 @@ class QueryEngine {
   /// batches REUSE these workers — the count growing between two equal
   /// batches would mean the pool regressed to per-call spawning.
   [[nodiscard]] std::size_t worker_threads_spawned() const noexcept {
-    return workers_.threads_spawned();
+    return exec_.workers().threads_spawned();
   }
 
   /// Observability snapshot of the engine's persistent pool (batches,
@@ -376,7 +498,7 @@ class QueryEngine {
   /// The serving layer samples this around a load interval to separate
   /// shard-scheduling pressure from query-queueing pressure.
   [[nodiscard]] WorkerPool::Stats worker_stats() const {
-    return workers_.stats();
+    return exec_.workers().stats();
   }
 
   /// True when this engine memoizes results (CacheConfig::enabled with a
@@ -433,27 +555,6 @@ class QueryEngine {
       const AcceptSpec& spec, std::span<const Word> words) const;
 
  private:
-  /// RAII lease of a pooled workspace (returned on destruction).
-  class Lease {
-   public:
-    Lease(const QueryEngine& engine, std::unique_ptr<SearchWorkspace> ws)
-        : engine_(engine), ws_(std::move(ws)) {}
-    ~Lease();
-    Lease(Lease&&) noexcept = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    [[nodiscard]] SearchWorkspace& operator*() noexcept { return *ws_; }
-
-   private:
-    const QueryEngine& engine_;
-    std::unique_ptr<SearchWorkspace> ws_;
-  };
-  [[nodiscard]] Lease lease() const;
-
-  [[nodiscard]] JourneyResult run_on(const JourneyQuery& q,
-                                     SearchWorkspace& ws) const;
-
   /// Batch-of-one acceptance fast path: a chain-specialized walk that
   /// skips the trie build and the pending-subtree bookkeeping. Outcome
   /// fields (accepted, truncated, configs_explored, witness) match the
@@ -461,25 +562,10 @@ class QueryEngine {
   [[nodiscard]] AcceptOutcome accepts_single(const AcceptSpec& spec,
                                              const Word& word) const;
 
-  /// Runs fn(index, workspace) for index in [0, n), sharded over
-  /// `threads` participants of the persistent worker pool, each holding
-  /// one leased workspace for the whole batch. Rethrows the first
-  /// worker exception after the batch drains.
-  template <typename Fn>
-  void parallel_for(std::size_t n, unsigned threads, Fn&& fn) const;
-
   const TimeVaryingGraph& g_;
-  unsigned default_threads_;
-  /// pool_mu_ guards the workspace free list; leases are handed out and
-  /// returned under it (lock discipline proved by -Wthread-safety on the
-  /// CI clang lane).
-  mutable Mutex pool_mu_;
-  mutable std::vector<std::unique_ptr<SearchWorkspace>> pool_
-      TVG_GUARDED_BY(pool_mu_);
-  /// Persistent workers behind every batch entry point: lazily started
-  /// on the first multi-threaded batch, reused across calls (batches no
-  /// longer pay per-query thread creation), joined in ~QueryEngine.
-  mutable WorkerPool workers_;
+  /// Workspace pool and persistent workers behind every entry point
+  /// (joined in ~QueryEngine).
+  detail::ReadExecutor exec_;
   /// Engine-level result cache (null when disabled) and the generation
   /// tag stamped into its entries: drawn fresh per engine, so an entry
   /// can only ever be served by the engine incarnation (and therefore

@@ -107,12 +107,28 @@ void expect_reads_match(const MutableEngine& me, const std::string& where) {
           << where << " truncated scan from " << s;
     }
   }
+  // Closures over every policy, the truncating budget, and an explicit
+  // 3-source subset (fewer sources than threads: per-source sharding).
+  const std::vector<NodeId> subset = {static_cast<NodeId>(n - 1), 0,
+                                      static_cast<NodeId>(n / 2)};
   for (const unsigned threads : {1u, 2u, 8u}) {
-    ClosureQuery cq;
-    cq.threads = threads;
-    cq.limits = lim;
-    EXPECT_EQ(me.closure(cq), ref.closure(cq))
-        << where << " closure at " << threads << " threads";
+    for (const Policy& pol :
+         {Policy::wait(), Policy::no_wait(), Policy::bounded_wait(3)}) {
+      for (const SearchLimits& limits : {lim, tight}) {
+        for (const std::vector<NodeId>& sources :
+             {std::vector<NodeId>{}, subset}) {
+          ClosureQuery cq;
+          cq.threads = threads;
+          cq.policy = pol;
+          cq.limits = limits;
+          cq.sources = sources;
+          EXPECT_EQ(me.closure(cq), ref.closure(cq))
+              << where << " closure at " << threads << " threads, "
+              << pol.to_string() << ", max_configs " << limits.max_configs
+              << ", " << sources.size() << " sources";
+        }
+      }
+    }
   }
 }
 

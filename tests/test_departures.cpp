@@ -137,6 +137,26 @@ TEST(ForEachPolicyDeparture, FiniteWindowsStillExact) {
             (std::vector<Time>{3, 10, 17}));
   EXPECT_EQ(collect(sx, 0, 0, Policy::wait(), /*horizon=*/12),
             (std::vector<Time>{3, 10}));
+  // wait_budget = 1, what the search kernels pass: the earliest
+  // departure only, in the bitmask mode (period 7) and the endpoint-run
+  // mode (period 1000), where later departures take the cursor.
+  EXPECT_EQ(collect(sx, 0, 4, Policy::wait(), kTimeInfinity,
+                    /*wait_budget=*/1),
+            (std::vector<Time>{10}));
+  EXPECT_TRUE(collect(sx, 0, 4, Policy::wait(), /*horizon=*/9,
+                      /*wait_budget=*/1)
+                  .empty());
+  const TimeVaryingGraph runs = periodic_graph(1000, 3);  // 3, 1003, ...
+  const ScheduleIndex& sx_runs = runs.schedule_index();
+  EXPECT_EQ(collect(sx_runs, 0, 4, Policy::wait(), kTimeInfinity,
+                    /*wait_budget=*/1),
+            (std::vector<Time>{1003}));
+  EXPECT_TRUE(collect(sx_runs, 0, 4, Policy::wait(), /*horizon=*/1002,
+                      /*wait_budget=*/1)
+                  .empty());
+  EXPECT_EQ(collect(sx_runs, 0, 4, Policy::wait(), kTimeInfinity,
+                    /*wait_budget=*/3),
+            (std::vector<Time>{1003, 2003, 3003}));
 }
 
 }  // namespace
