@@ -59,6 +59,12 @@ struct MachineCase {
   int max_len;
 };
 
+// GetParam() is part of each CTest name; without a printer gtest dumps the
+// raw bytes, string data pointers included, and the names change per run.
+void PrintTo(const MachineCase& c, std::ostream* os) {
+  *os << c.name << " on " << c.alphabet << " up to " << c.max_len;
+}
+
 class MachineVsOracle : public ::testing::TestWithParam<MachineCase> {};
 
 TEST_P(MachineVsOracle, AgreesExhaustively) {
