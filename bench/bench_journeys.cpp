@@ -4,6 +4,7 @@
 // waiting buys (the store-carry-forward motivation of the introduction).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_report.hpp"
@@ -43,13 +44,15 @@ void print_reproduction() {
     const int seeds = 4;
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
       const TimeVaryingGraph g = make_workload(nodes, seed);
-      SearchLimits limits;
-      limits.horizon = 120;
+      const QueryEngine engine(g, 1, CacheConfig::disabled());
       auto frac = [&](Policy p) {
-        const auto reach = reachable_set(g, 0, 0, p, limits);
-        return static_cast<double>(
-                   std::count(reach.begin(), reach.end(), true)) /
-               static_cast<double>(nodes);
+        const JourneyResult row = engine.run(
+            JourneyQuery::foremost(0, 0).under(p).within(
+                SearchLimits::up_to(120)));
+        const auto reached =
+            std::count_if(row.arrivals.begin(), row.arrivals.end(),
+                          [](Time t) { return t != kTimeInfinity; });
+        return static_cast<double>(reached) / static_cast<double>(nodes);
       };
       nowait_total += frac(Policy::no_wait());
       bounded_total += frac(Policy::bounded_wait(4));
@@ -69,18 +72,20 @@ void BM_ForemostWait(benchmark::State& state) {
       make_workload(static_cast<std::size_t>(state.range(0)), 1);
   SearchLimits limits;
   limits.horizon = 120;
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::wait(), limits).arrival.size());
+        foremost_arrivals(g, 0, 0, Policy::wait(), limits, ws)
+            .arrival.size());
   }
   state.counters["nodes"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_ForemostWait)->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-// The workspace-reusing scan API: same search, but the config arena,
-// visited set, and queue persist across calls (the multi-source closure
-// path). The delta against BM_ForemostWait is the per-call allocation +
-// result-extraction cost.
+// The scan API: same search on the same workspace, but the result arrays
+// stay in it too (the multi-source closure path). The delta against
+// BM_ForemostWait, whose tree takes the arrays out of the workspace, is
+// the per-call allocation + result-extraction cost.
 void BM_ForemostWaitWorkspace(benchmark::State& state) {
   const TimeVaryingGraph g =
       make_workload(static_cast<std::size_t>(state.range(0)), 1);
@@ -100,9 +105,10 @@ void BM_ForemostNoWait(benchmark::State& state) {
       make_workload(static_cast<std::size_t>(state.range(0)), 1);
   SearchLimits limits;
   limits.horizon = 120;
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits)
+        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits, ws)
             .arrival.size());
   }
 }
@@ -113,9 +119,10 @@ void BM_ForemostBoundedWait(benchmark::State& state) {
   SearchLimits limits;
   limits.horizon = 120;
   const Time d = state.range(0);
+  SearchWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        foremost_arrivals(g, 0, 0, Policy::bounded_wait(d), limits)
+        foremost_arrivals(g, 0, 0, Policy::bounded_wait(d), limits, ws)
             .arrival.size());
   }
   state.counters["d"] = static_cast<double>(d);
@@ -125,12 +132,13 @@ BENCHMARK(BM_ForemostBoundedWait)->Arg(0)->Arg(2)->Arg(8)->Arg(32);
 void BM_ShortestJourney(benchmark::State& state) {
   const TimeVaryingGraph g =
       make_workload(static_cast<std::size_t>(state.range(0)), 2, 0.15);
-  SearchLimits limits;
-  limits.horizon = 120;
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
   const auto target = static_cast<NodeId>(state.range(0) - 1);
+  const JourneyQuery q = JourneyQuery::shortest(0, target, 0)
+                             .under(Policy::wait())
+                             .within(SearchLimits::up_to(120));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        shortest_journey(g, 0, target, 0, Policy::wait(), limits));
+    benchmark::DoNotOptimize(engine.run(q).journey);
   }
 }
 BENCHMARK(BM_ShortestJourney)->Arg(16)->Arg(64)->Arg(128);
@@ -138,22 +146,31 @@ BENCHMARK(BM_ShortestJourney)->Arg(16)->Arg(64)->Arg(128);
 void BM_FastestJourney(benchmark::State& state) {
   const TimeVaryingGraph g =
       make_workload(static_cast<std::size_t>(state.range(0)), 3, 0.15);
-  SearchLimits limits;
-  limits.horizon = 120;
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
   const auto target = static_cast<NodeId>(state.range(0) - 1);
+  const JourneyQuery q = JourneyQuery::fastest(0, target, 0, 40)
+                             .under(Policy::wait())
+                             .within(SearchLimits::up_to(120));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fastest_journey(g, 0, target, 0, 40, Policy::wait(), limits));
+    benchmark::DoNotOptimize(engine.run(q).journey);
   }
 }
 BENCHMARK(BM_FastestJourney)->Arg(16)->Arg(32);
 
+/// One-shot serial closure: a one-thread, cache-disabled engine built
+/// per call, as a caller asking a single sweep question would.
+std::vector<std::vector<Time>> one_shot_closure(const TimeVaryingGraph& g) {
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  ClosureQuery q;
+  q.limits.horizon = 120;
+  q.threads = 1;
+  return engine.closure(q).rows;
+}
+
 void BM_TemporalCloseness(benchmark::State& state) {
   const TimeVaryingGraph g = make_workload(24, 4, 0.2);
-  SearchLimits limits;
-  limits.horizon = 120;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(temporal_closure(g, 0, Policy::wait(), limits));
+    benchmark::DoNotOptimize(one_shot_closure(g));
   }
 }
 BENCHMARK(BM_TemporalCloseness);
@@ -163,11 +180,8 @@ BENCHMARK(BM_TemporalCloseness);
 void BM_ClosureSerial(benchmark::State& state) {
   const TimeVaryingGraph g =
       make_workload(static_cast<std::size_t>(state.range(0)), 1, 0.15);
-  SearchLimits limits;
-  limits.horizon = 120;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        temporal_closure(g, 0, Policy::wait(), limits).size());
+    benchmark::DoNotOptimize(one_shot_closure(g).size());
   }
   state.counters["nodes"] = static_cast<double>(state.range(0));
 }

@@ -49,7 +49,6 @@ struct SearchArenas {
   std::vector<std::vector<std::int64_t>> buckets;
   bool truncated{false};
   std::int64_t first_goal{-1};  // first config hitting `goal` (BFS only)
-  bool in_use{false};           // re-entrancy guard for the shared arena
 
   /// Bit-parallel multi-source kernel state (multi_source_foremost);
   /// disjoint from the per-source fields above so a packed word that
@@ -84,37 +83,6 @@ SearchWorkspace& SearchWorkspace::operator=(SearchWorkspace&&) noexcept =
 namespace {
 
 using detail::SearchArenas;
-
-/// Leases the per-thread shared arena for API entry points that take no
-/// explicit workspace. If the arena is already leased (a predicate ρ/ζ
-/// re-entered the engine mid-search), falls back to a fresh private one
-/// so nested searches never corrupt the outer run.
-class ArenaLease {
- public:
-  ArenaLease() {
-    thread_local SearchArenas shared;
-    if (!shared.in_use) {
-      shared.in_use = true;
-      arenas_ = &shared;
-      leased_shared_ = true;
-    } else {
-      fallback_ = std::make_unique<SearchArenas>();
-      arenas_ = fallback_.get();
-    }
-  }
-  ~ArenaLease() {
-    if (leased_shared_) arenas_->in_use = false;
-  }
-  ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-
-  [[nodiscard]] SearchArenas& operator*() noexcept { return *arenas_; }
-
- private:
-  SearchArenas* arenas_{nullptr};
-  std::unique_ptr<SearchArenas> fallback_;
-  bool leased_shared_{false};
-};
 
 /// The frozen-path model of the View concept the search kernels below
 /// (and the shared read dispatch at the end of this file) are templated
@@ -889,14 +857,6 @@ std::optional<Journey> ForemostTree::journey_to(const TimeVaryingGraph& g,
 
 ForemostTree foremost_arrivals(const TimeVaryingGraph& g, NodeId source,
                                Time start_time, Policy policy,
-                               SearchLimits limits) {
-  ArenaLease lease;
-  return foremost_arrivals_in(frozen_view(g), source, start_time, policy,
-                              limits, *lease);
-}
-
-ForemostTree foremost_arrivals(const TimeVaryingGraph& g, NodeId source,
-                               Time start_time, Policy policy,
                                SearchLimits limits, SearchWorkspace& ws) {
   return foremost_arrivals_in(frozen_view(g), source, start_time, policy,
                               limits, ws.arenas());
@@ -978,16 +938,9 @@ void multi_source_foremost(const TimeVaryingGraph& g,
   }
 }
 
-std::optional<Journey> foremost_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits) {
-  return foremost_arrivals(g, source, start_time, policy, limits)
-      .journey_to(g, target);
-}
-
 namespace {
 
+/// Minimum-hop journey source -> target under `policy`.
 template <typename View>
 std::optional<Journey> shortest_journey_in(const View& vw, NodeId source,
                                            NodeId target, Time start_time,
@@ -1057,6 +1010,20 @@ template <typename View>
   return vw.arrival(last.edge, last.departure);
 }
 
+/// A fastest-journey scan's answer: `journey` may be non-optimal — or
+/// absent despite the target being reachable — only when `truncated`
+/// is true.
+struct FastestJourneyResult {
+  std::optional<Journey> journey;
+  /// True if the candidate-departure enumeration hit
+  /// SearchLimits::max_fastest_candidates, or any per-candidate search hit
+  /// SearchLimits::max_configs.
+  bool truncated{false};
+};
+
+/// Minimum-duration journey source -> target whose first edge departs in
+/// [depart_lo, depart_hi]: scans candidate first departures (presence
+/// events of source out-edges) and minimizes arrival − departure.
 template <typename View>
 FastestJourneyResult fastest_journey_checked_in(
     const View& vw, NodeId source, NodeId target, Time depart_lo,
@@ -1117,172 +1084,12 @@ FastestJourneyResult fastest_journey_checked_in(
   return result;
 }
 
-}  // namespace
-
-std::optional<Journey> shortest_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits) {
-  ArenaLease lease;
-  return shortest_journey_in(frozen_view(g), source, target, start_time,
-                             policy, limits, *lease);
-}
-
-std::optional<Journey> shortest_journey(const TimeVaryingGraph& g,
-                                        NodeId source, NodeId target,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits,
-                                        SearchWorkspace& ws) {
-  return shortest_journey_in(frozen_view(g), source, target, start_time,
-                             policy, limits, ws.arenas());
-}
-
-FastestJourneyResult fastest_journey_checked(const TimeVaryingGraph& g,
-                                             NodeId source, NodeId target,
-                                             Time depart_lo, Time depart_hi,
-                                             Policy policy,
-                                             SearchLimits limits) {
-  ArenaLease lease;
-  return fastest_journey_checked_in(frozen_view(g), source, target, depart_lo,
-                                    depart_hi, policy, limits, *lease);
-}
-
-FastestJourneyResult fastest_journey_checked(const TimeVaryingGraph& g,
-                                             NodeId source, NodeId target,
-                                             Time depart_lo, Time depart_hi,
-                                             Policy policy,
-                                             SearchLimits limits,
-                                             SearchWorkspace& ws) {
-  return fastest_journey_checked_in(frozen_view(g), source, target, depart_lo,
-                                    depart_hi, policy, limits, ws.arenas());
-}
-
-std::optional<Journey> fastest_journey(const TimeVaryingGraph& g,
-                                       NodeId source, NodeId target,
-                                       Time depart_lo, Time depart_hi,
-                                       Policy policy, SearchLimits limits) {
-  return fastest_journey_checked(g, source, target, depart_lo, depart_hi,
-                                 policy, limits)
-      .journey;
-}
-
-std::vector<bool> reachable_set(const TimeVaryingGraph& g, NodeId source,
-                                Time start_time, Policy policy,
-                                SearchLimits limits) {
-  ArenaLease lease;
-  SearchArenas& a = *lease;
-  search_from(frozen_view(g), source, start_time, policy, limits, a);
-  std::vector<bool> reach(g.node_count(), false);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    reach[v] = a.arrival[v] != kTimeInfinity;
-  }
-  return reach;
-}
-
-std::vector<std::vector<Time>> temporal_closure(const TimeVaryingGraph& g,
-                                                Time start_time, Policy policy,
-                                                SearchLimits limits) {
-  // Thin serial wrapper over the engine: one worker, all sources. The
-  // engine's parallel form produces bit-identical rows (each row is
-  // written only by the worker that ran its source).
-  QueryEngine engine(g, /*default_threads=*/1, CacheConfig::disabled());
-  ClosureQuery q;
-  q.start_time = start_time;
-  q.policy = policy;
-  q.limits = limits;
-  q.threads = 1;
-  return std::move(engine.closure(q).rows);
-}
-
-namespace {
-
-/// Runs the bit-parallel kernel one 64-source word at a time, handing
-/// each word's rows to `scan_rows` and discarding them before the next
-/// word — the all-pairs sweeps below keep the lane-packing speedup at
-/// O(64 · n) memory instead of materializing an n × n matrix, and
-/// `scan_rows` returning false exits early (a disconnected word proves
-/// the whole answer).
-template <typename ScanRows>
-void for_each_closure_word(const TimeVaryingGraph& g, Time start_time,
-                           Policy policy, SearchLimits limits,
-                           ScanRows&& scan_rows) {
-  const std::size_t n = g.node_count();
-  if (n == 0) return;
-  // On lane-packing-ineligible graphs the kernel would just run 64
-  // serial scans per call — chunk by single rows there so the early
-  // exit keeps its old per-source granularity (a disconnect after one
-  // scan must not cost 64).
-  const std::size_t word_size = packable(g.schedule_index()) ? 64 : 1;
-  SearchWorkspace ws;
-  std::vector<NodeId> sources;
-  std::vector<std::vector<Time>> rows;
-  std::vector<char> truncated;
-  for (std::size_t base = 0; base < n; base += word_size) {
-    const std::size_t count = std::min<std::size_t>(word_size, n - base);
-    sources.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      sources[i] = static_cast<NodeId>(base + i);
-    }
-    rows.resize(count);
-    truncated.assign(count, 0);
-    multi_source_foremost(g, sources, start_time, policy, limits, ws, rows,
-                          truncated);
-    if (!scan_rows(std::span<const std::vector<Time>>(rows))) return;
-  }
-}
-
-}  // namespace
-
-bool temporally_connected(const TimeVaryingGraph& g, Time start_time,
-                          Policy policy, SearchLimits limits) {
-  bool connected = true;
-  for_each_closure_word(g, start_time, policy, limits,
-                        [&](std::span<const std::vector<Time>> rows) {
-    for (const std::vector<Time>& row : rows) {
-      for (const Time t : row) {
-        if (t == kTimeInfinity) {
-          connected = false;
-          return false;  // one unreachable pair decides the answer
-        }
-      }
-    }
-    return true;
-  });
-  return connected;
-}
-
-std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
-                                      Time start_time, Policy policy,
-                                      SearchLimits limits) {
-  Time diameter = 0;
-  bool connected = true;
-  for_each_closure_word(g, start_time, policy, limits,
-                        [&](std::span<const std::vector<Time>> rows) {
-    for (const std::vector<Time>& row : rows) {
-      for (const Time t : row) {
-        if (t == kTimeInfinity) {
-          connected = false;
-          return false;
-        }
-        // sat_sub: finite-but-huge arrival minus a negative start_time
-        // must saturate, not wrap (the PR-4 overflow class).
-        diameter = std::max(diameter, sat_sub(t, start_time));
-      }
-    }
-    return true;
-  });
-  if (!connected) return std::nullopt;
-  return diameter;
-}
-
 // ---------------------------------------------------------------------------
 // The read dispatch both engines share (declared in query_engine.hpp):
 // QueryEngine passes its frozen graph, MutableEngine its epoch plus the
 // captured delta. One body per query kind, instantiated over FrozenView
 // or OverlayView, so frozen and overlay reads can never drift apart.
 // ---------------------------------------------------------------------------
-
-namespace {
 
 template <typename View>
 JourneyResult run_journey_in(const View& vw, const JourneyQuery& q,

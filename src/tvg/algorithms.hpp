@@ -20,14 +20,15 @@
 //
 // Execution model: every search kernel runs over the graph's compiled
 // ScheduleIndex + frozen CSR adjacency (schedule_index.hpp) and writes
-// into a reusable SearchWorkspace — no per-search allocation on the hot
-// path. The single-query free functions below are kept as the convenient
-// one-shot entry points (they lease a per-thread arena); anything issuing
-// MANY queries — batches, multi-source sweeps, acceptance sets — should
-// use tvg::QueryEngine (query_engine.hpp), which owns the compiled state
-// plus a workspace pool and shards batches across threads. The
-// multi-source sweeps at the bottom of this header are thin wrappers over
-// that engine.
+// into a caller-owned SearchWorkspace — no per-search allocation on the
+// hot path. This header holds only the kernel-level entry points that
+// take that workspace explicitly (foremost_arrivals, foremost_scan,
+// multi_source_foremost): the engines and the bit-identity suites call
+// them. Every journey, reachability and sweep question — foremost,
+// shortest, fastest, closure, connectivity, the analytics — is asked
+// through tvg::QueryEngine (query_engine.hpp), or tvg::MutableEngine
+// (delta_overlay.hpp) for a live graph; they lease pooled workspaces
+// and shard batches across threads.
 #pragma once
 
 #include <bit>
@@ -53,8 +54,9 @@ struct SearchArenas;  // algorithms.cpp
 /// arrival/witness arrays, the exact visited set, and the priority queue
 /// (calendar buckets or binary heap). One workspace serves any number of
 /// sequential searches; buffers grow to the high-water mark and are
-/// reused, so multi-source sweeps (temporal_closure and friends) stop
-/// paying per-source allocation. Not thread-safe: use one per thread.
+/// reused, so multi-source sweeps (QueryEngine::closure and the
+/// analytics) stop paying per-source allocation. Not thread-safe: use
+/// one per thread.
 class SearchWorkspace {
  public:
   SearchWorkspace();
@@ -75,8 +77,8 @@ class SearchWorkspace {
 struct SearchLimits {
   Time horizon{kTimeInfinity};       // ignore departures/arrivals beyond
   std::size_t max_configs{1 << 20};  // cap on explored (node,time) configs
-  /// Cap on candidate first departures scanned by fastest_journey; hitting
-  /// it is reported via FastestJourneyResult::truncated.
+  /// Cap on candidate first departures scanned by a fastest-journey
+  /// query; hitting it is reported via JourneyResult::truncated.
   std::size_t max_fastest_candidates{4096};
 
   [[nodiscard]] static SearchLimits up_to(Time horizon) {
@@ -152,16 +154,11 @@ struct ForemostTree {
 };
 
 /// Single-source earliest-arrival under `policy`, departing `source` at
-/// `start_time`. Exact under Wait (Dijkstra over monotone arrivals);
-/// exact-up-to-horizon under NoWait / BoundedWait (configuration BFS).
-[[nodiscard]] ForemostTree foremost_arrivals(const TimeVaryingGraph& g,
-                                             NodeId source, Time start_time,
-                                             Policy policy,
-                                             SearchLimits limits = {});
-
-/// As above, but runs in the caller's workspace. The returned tree takes
-/// ownership of the workspace's result arrays (they are rebuilt on the
-/// next search); the visited set, heap, and cursors stay reusable.
+/// `start_time`, run in the caller's workspace. Exact under Wait
+/// (Dijkstra over monotone arrivals); exact-up-to-horizon under NoWait /
+/// BoundedWait (configuration BFS). The returned tree takes ownership of
+/// the workspace's result arrays (they are rebuilt on the next search);
+/// the visited set, heap, and cursors stay reusable.
 [[nodiscard]] ForemostTree foremost_arrivals(const TimeVaryingGraph& g,
                                              NodeId source, Time start_time,
                                              Policy policy,
@@ -222,84 +219,6 @@ void multi_source_foremost(const TimeVaryingGraph& g,
                            DirectionOptions direction, SearchWorkspace& ws,
                            std::span<std::vector<Time>> rows,
                            std::span<char> truncated);
-
-/// The foremost journey source -> target, if any.
-[[nodiscard]] std::optional<Journey> foremost_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits = {});
-
-/// Minimum-hop journey source -> target under `policy`.
-[[nodiscard]] std::optional<Journey> shortest_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits = {});
-
-/// As above, in the caller's workspace (the QueryEngine form).
-[[nodiscard]] std::optional<Journey> shortest_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time start_time,
-    Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
-/// Minimum-duration (fastest) journey source -> target whose first edge
-/// departs in [depart_lo, depart_hi], under `policy`. Scans candidate
-/// first departures (presence events of source out-edges) and minimizes
-/// arrival − departure.
-[[nodiscard]] std::optional<Journey> fastest_journey(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits = {});
-
-/// fastest_journey with truncation reporting (mirrors
-/// ForemostTree::truncated): `journey` may be non-optimal — or absent
-/// despite the target being reachable — only when `truncated` is true.
-struct FastestJourneyResult {
-  std::optional<Journey> journey;
-  /// True if the candidate-departure enumeration hit
-  /// SearchLimits::max_fastest_candidates, or any per-candidate search hit
-  /// SearchLimits::max_configs.
-  bool truncated{false};
-};
-
-[[nodiscard]] FastestJourneyResult fastest_journey_checked(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits = {});
-
-/// As above, in the caller's workspace (the QueryEngine form).
-[[nodiscard]] FastestJourneyResult fastest_journey_checked(
-    const TimeVaryingGraph& g, NodeId source, NodeId target, Time depart_lo,
-    Time depart_hi, Policy policy, SearchLimits limits, SearchWorkspace& ws);
-
-/// Nodes reachable from `source` (including itself).
-[[nodiscard]] std::vector<bool> reachable_set(const TimeVaryingGraph& g,
-                                              NodeId source, Time start_time,
-                                              Policy policy,
-                                              SearchLimits limits = {});
-
-/// All-pairs earliest arrivals: closure[u][v].
-///
-/// @deprecated-style guidance: thin serial wrapper over
-/// QueryEngine::closure() (query_engine.hpp). Construct an engine and
-/// call closure() directly to shard the source rows across threads; the
-/// rows are bit-identical to this function at any thread count.
-[[nodiscard]] std::vector<std::vector<Time>> temporal_closure(
-    const TimeVaryingGraph& g, Time start_time, Policy policy,
-    SearchLimits limits = {});
-
-/// True iff every ordered pair (u, v) is connected by a feasible journey
-/// starting at `start_time` (the class "temporally connected" of [1]).
-///
-/// @deprecated-style guidance: wrapper over QueryEngine row queries;
-/// prefer the engine when asking more than one question of the graph.
-[[nodiscard]] bool temporally_connected(const TimeVaryingGraph& g,
-                                        Time start_time, Policy policy,
-                                        SearchLimits limits = {});
-
-/// max over ordered pairs of (foremost arrival − start_time);
-/// nullopt if some pair is unreachable.
-///
-/// @deprecated-style guidance: wrapper over QueryEngine row queries;
-/// prefer the engine when asking more than one question of the graph.
-[[nodiscard]] std::optional<Time> temporal_diameter(const TimeVaryingGraph& g,
-                                                    Time start_time,
-                                                    Policy policy,
-                                                    SearchLimits limits = {});
 
 }  // namespace tvg
 

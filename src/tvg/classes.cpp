@@ -4,7 +4,7 @@
 #include <numeric>
 #include <sstream>
 
-#include "tvg/algorithms.hpp"
+#include "tvg/query_engine.hpp"
 
 namespace tvg {
 
@@ -50,6 +50,27 @@ std::optional<Time> edge_max_gap(const Edge& e) {
   return max_gap;
 }
 
+namespace {
+
+/// True iff every ordered pair is connected by a feasible journey
+/// starting at `start_time` (class TC of [1]): all closure rows finite.
+[[nodiscard]] bool temporally_connected_at(const QueryEngine& engine,
+                                           Time start_time, Policy policy,
+                                           SearchLimits limits) {
+  ClosureQuery q;
+  q.start_time = start_time;
+  q.policy = policy;
+  q.limits = limits;
+  for (const std::vector<Time>& row : engine.closure(q).rows) {
+    if (std::find(row.begin(), row.end(), kTimeInfinity) != row.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 bool all_edges_recurrent(const TimeVaryingGraph& g, Time probe_horizon) {
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     if (!edge_is_recurrent(g.edge(e), probe_horizon)) return false;
@@ -83,8 +104,9 @@ bool recurrently_connected(const TimeVaryingGraph& g, Policy policy,
   // wrapped horizon would silently truncate every connectivity probe.
   const Time settle = sat_add(t_abs, period);
   limits.horizon = sat_add(sat_mul(settle, 8), 64);
+  const QueryEngine engine(g, /*default_threads=*/1, CacheConfig::disabled());
   for (Time t0 = 0; t0 < settle; ++t0) {
-    if (!temporally_connected(g, t0, policy, limits)) return false;
+    if (!temporally_connected_at(engine, t0, policy, limits)) return false;
   }
   return true;
 }
@@ -104,9 +126,10 @@ TvgClassReport classify(const TimeVaryingGraph& g, Policy policy) {
   TvgClassReport report;
   report.edge_recurrent = all_edges_recurrent(g);
   report.recurrence_bound = recurrence_bound(g);
-  report.temporally_connected_from_0 = temporally_connected(
-      g, 0, policy, SearchLimits{/*horizon=*/1 << 12, /*max_configs=*/1
-                                 << 18});
+  const QueryEngine engine(g, /*default_threads=*/1, CacheConfig::disabled());
+  report.temporally_connected_from_0 = temporally_connected_at(
+      engine, 0, policy,
+      SearchLimits{/*horizon=*/1 << 12, /*max_configs=*/1 << 18});
   report.recurrently_connected = recurrently_connected(g, policy);
   return report;
 }

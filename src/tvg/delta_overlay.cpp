@@ -201,17 +201,6 @@ TimeVaryingGraph materialize(const TimeVaryingGraph& base,
 
 namespace {
 
-/// Approximate heap footprint of a cached journey result (the engine's
-/// own accounting lives in query_engine.cpp's internal namespace; this
-/// mirrors its shape — exactness is not required, the number only feeds
-/// the cache's byte budget).
-[[nodiscard]] std::size_t approx_bytes(const JourneyResult& r) {
-  std::size_t bytes = sizeof(JourneyResult);
-  bytes += r.arrivals.capacity() * sizeof(Time);
-  if (r.journey) bytes += r.journey->legs.capacity() * sizeof(JourneyLeg);
-  return bytes;
-}
-
 /// Bounded mutation-mask history (see MutableEngine::MaskRec): enough to
 /// cover any realistic in-flight query against a busy mutation stream;
 /// an insert whose capture fell off the window is skipped, never served.
@@ -326,7 +315,7 @@ JourneyResult MutableEngine::run(const JourneyQuery& q) const {
   }
   if (cache_) {
     const auto owned = std::make_shared<const JourneyResult>(result);
-    const std::size_t bytes = approx_bytes(*owned);
+    const std::size_t bytes = detail::approx_bytes(*owned);
     // The staleness check and the insert are one critical section: a
     // mutation published between them would invalidate the cache BEFORE
     // this entry exists, and the entry would survive as a stale hit.

@@ -1,7 +1,6 @@
 #include "tvg/metrics.hpp"
 
 #include "tvg/algorithms.hpp"
-#include "tvg/query_engine.hpp"
 #include "tvg/schedule_index.hpp"
 
 namespace tvg {
@@ -9,13 +8,14 @@ namespace tvg {
 std::optional<Time> temporal_eccentricity(const TimeVaryingGraph& g,
                                           NodeId v, Time start_time,
                                           Policy policy, Time horizon) {
-  // Single-source point query: the arena-leasing kernel entry point is
-  // the cheap form here (no engine/workspace setup per call). Batched
-  // callers should take rows from QueryEngine::closure() instead.
-  const ForemostTree tree = foremost_arrivals(
-      g, v, start_time, policy, SearchLimits::up_to(horizon));
+  // Single-source point query: one serial scan on a local workspace (no
+  // engine setup per call). Batched callers should take rows from
+  // QueryEngine::closure() instead.
+  SearchWorkspace ws;
+  const ForemostScan scan = foremost_scan(g, v, start_time, policy,
+                                          SearchLimits::up_to(horizon), ws);
   Time ecc = 0;
-  for (Time arrival : tree.arrival) {
+  for (Time arrival : scan.arrival) {
     if (arrival == kTimeInfinity) return std::nullopt;
     // sat_sub: a finite-but-huge arrival minus a negative start_time is
     // the PR-4 overflow class (UB pre-fix, saturates now).
@@ -37,9 +37,10 @@ double temporal_closeness(std::span<const Time> row, NodeId v,
 
 double temporal_closeness(const TimeVaryingGraph& g, NodeId v,
                           Time start_time, Policy policy, Time horizon) {
-  const ForemostTree tree = foremost_arrivals(
-      g, v, start_time, policy, SearchLimits::up_to(horizon));
-  return temporal_closeness(tree.arrival, v, start_time);
+  SearchWorkspace ws;
+  const ForemostScan scan = foremost_scan(g, v, start_time, policy,
+                                          SearchLimits::up_to(horizon), ws);
+  return temporal_closeness(scan.arrival, v, start_time);
 }
 
 std::size_t contact_count(const Edge& e, Time horizon) {
@@ -102,20 +103,6 @@ std::optional<double> characteristic_temporal_distance(
   }
   if (pairs == 0) return std::nullopt;
   return total / static_cast<double>(pairs);
-}
-
-std::optional<double> characteristic_temporal_distance(
-    const TimeVaryingGraph& g, Time start_time, Policy policy,
-    Time horizon) {
-  // One engine closure feeds the whole pair sum (the workspace pool
-  // plays the role the explicit SearchWorkspace used to).
-  QueryEngine engine(g, /*default_threads=*/1, CacheConfig::disabled());
-  ClosureQuery q;
-  q.start_time = start_time;
-  q.policy = policy;
-  q.limits = SearchLimits::up_to(horizon);
-  return characteristic_temporal_distance(engine.closure(q).rows,
-                                          start_time);
 }
 
 }  // namespace tvg

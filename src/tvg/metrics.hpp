@@ -13,8 +13,6 @@
 
 namespace tvg {
 
-struct SearchLimits;  // from algorithms.hpp
-
 /// Temporal eccentricity of v: max over targets of (foremost arrival −
 /// start_time); nullopt if some node is unreachable.
 [[nodiscard]] std::optional<Time> temporal_eccentricity(
@@ -28,8 +26,9 @@ struct SearchLimits;  // from algorithms.hpp
                                         Time horizon = kTimeInfinity);
 
 /// As above, from a precomputed foremost-arrival row for v (one row of
-/// QueryEngine::closure() or ForemostScan::arrival) — the batched form:
-/// one closure feeds every node's closeness without re-searching.
+/// QueryEngine::closure(), or an untargeted JourneyResult::arrivals) —
+/// the batched form: one closure feeds every node's closeness without
+/// re-searching.
 [[nodiscard]] double temporal_closeness(std::span<const Time> row, NodeId v,
                                         Time start_time);
 
@@ -51,14 +50,9 @@ struct SearchLimits;  // from algorithms.hpp
 [[nodiscard]] double average_density(const TimeVaryingGraph& g, Time horizon);
 
 /// Characteristic temporal distance: mean over reachable ordered pairs of
-/// (foremost arrival − start_time); nullopt when nothing is reachable.
-[[nodiscard]] std::optional<double> characteristic_temporal_distance(
-    const TimeVaryingGraph& g, Time start_time, Policy policy,
-    Time horizon = kTimeInfinity);
-
-/// As above, from precomputed all-source closure rows
-/// (QueryEngine::closure() / temporal_closure output) — rows[u][v] is
-/// the foremost arrival at v from u.
+/// (foremost arrival − start_time), from all-source closure rows
+/// (QueryEngine::closure() output: rows[u][v] is the foremost arrival at
+/// v from u); nullopt when nothing is reachable.
 [[nodiscard]] std::optional<double> characteristic_temporal_distance(
     const std::vector<std::vector<Time>>& rows, Time start_time);
 

@@ -14,19 +14,23 @@ namespace tvg {
 
 namespace {
 
-// Approximate heap footprints of the cached result snapshots — the byte
-// weights behind CacheConfig::max_bytes accounting. Deliberately rough
-// (struct size + owned array payloads): the budget guards against
-// closure-row blowup, not malloc-exact bookkeeping.
-
-[[nodiscard]] std::size_t approx_bytes(const Journey& j) {
+[[nodiscard]] std::size_t journey_bytes(const Journey& j) {
   return sizeof(Journey) + j.legs.size() * sizeof(JourneyLeg);
 }
 
-[[nodiscard]] std::size_t approx_bytes(const JourneyResult& r) {
+}  // namespace
+
+std::size_t detail::approx_bytes(const JourneyResult& r) {
   return sizeof(JourneyResult) + r.arrivals.size() * sizeof(Time) +
-         (r.journey ? approx_bytes(*r.journey) : 0);
+         (r.journey ? journey_bytes(*r.journey) : 0);
 }
+
+namespace {
+
+// Approximate heap footprints of the other cached result snapshots, in
+// the same rough style as detail::approx_bytes (see query_engine.hpp).
+
+using detail::approx_bytes;
 
 [[nodiscard]] std::size_t approx_bytes(const ClosureResult& r) {
   std::size_t total = sizeof(ClosureResult);
@@ -62,32 +66,9 @@ namespace {
 [[nodiscard]] std::size_t approx_bytes(const std::vector<AcceptOutcome>& v) {
   std::size_t total = sizeof(v) + v.size() * sizeof(AcceptOutcome);
   for (const AcceptOutcome& o : v) {
-    if (o.witness) total += approx_bytes(*o.witness);
+    if (o.witness) total += journey_bytes(*o.witness);
   }
   return total;
-}
-
-/// Witness reconstruction shared by the batched acceptance search and
-/// its single-word fast path: walks a parent-linked config forest back
-/// from `idx`, collecting the crossed legs. Any config type with
-/// node/parent/via/dep fields works (the two searches keep distinct
-/// config layouts, but their witness semantics must never diverge).
-template <typename Config>
-[[nodiscard]] Journey witness_from(const std::vector<Config>& configs,
-                                   std::int64_t idx, Time start_time) {
-  std::vector<JourneyLeg> legs;
-  NodeId start = kInvalidNode;
-  for (std::int64_t i = idx; i >= 0;
-       i = configs[static_cast<std::size_t>(i)].parent) {
-    const Config& c = configs[static_cast<std::size_t>(i)];
-    if (c.via != kInvalidEdge) {
-      legs.push_back(JourneyLeg{c.via, c.dep});
-    } else {
-      start = c.node;
-    }
-  }
-  std::reverse(legs.begin(), legs.end());
-  return Journey{start, start_time, std::move(legs)};
 }
 
 }  // namespace
@@ -144,6 +125,20 @@ QueryEngine::QueryEngine(const TimeVaryingGraph& g, unsigned default_threads,
 
 QueryEngine::~QueryEngine() = default;
 
+template <typename R, typename KeyFn, typename ComputeFn>
+R QueryEngine::cached(KeyFn&& key, ComputeFn&& compute, bool probed) const {
+  if (!cache_) return compute();
+  const QueryKey& k = key();
+  if (!probed) {
+    if (const auto hit = cache_->find(k, generation_)) {
+      return *static_cast<const R*>(hit.get());
+    }
+  }
+  const auto owned = std::make_shared<const R>(compute());
+  cache_->insert(k, generation_, owned, approx_bytes(*owned));
+  return *owned;
+}
+
 // ---------------------------------------------------------------------------
 // Journey queries
 // ---------------------------------------------------------------------------
@@ -152,19 +147,10 @@ JourneyResult QueryEngine::run(const JourneyQuery& q) const {
   // Only results of successful runs are ever inserted, so a cache hit
   // can never mask the validation throws in run_journey: a query that
   // would throw has no entry to hit.
-  if (cache_) {
-    const QueryKey key = QueryKey::journey(q);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const JourneyResult*>(hit.get());
-    }
+  return cached<JourneyResult>([&] { return QueryKey::journey(q); }, [&] {
     auto ws = exec_.lease();
-    const auto owned = std::make_shared<const JourneyResult>(
-        detail::run_journey(g_, nullptr, q, *ws, nullptr));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  auto ws = exec_.lease();
-  return detail::run_journey(g_, nullptr, q, *ws, nullptr);
+    return detail::run_journey(g_, nullptr, q, *ws, nullptr);
+  });
 }
 
 std::vector<JourneyResult> QueryEngine::run(
@@ -202,10 +188,12 @@ std::vector<JourneyResult> QueryEngine::run(
   exec_.parallel_for(misses.size(), threads,
                      [&](std::size_t k, SearchWorkspace& ws) {
     const std::size_t i = misses[k];
-    const auto owned = std::make_shared<const JourneyResult>(
-        detail::run_journey(g_, nullptr, queries[i], ws, nullptr));
-    cache_->insert(keys[i], generation_, owned, approx_bytes(*owned));
-    results[i] = *owned;
+    results[i] = cached<JourneyResult>(
+        [&]() -> const QueryKey& { return keys[i]; },
+        [&] {
+          return detail::run_journey(g_, nullptr, queries[i], ws, nullptr);
+        },
+        /*probed=*/true);
   });
   for (const auto& [follower, lead] : dups) {
     results[follower] = results[lead];
@@ -223,21 +211,9 @@ ClosureResult QueryEngine::closure(const ClosureQuery& q) const {
   // Keyed on the materialized source list (so the implicit "all nodes"
   // spelling shares an entry with the explicit one) and without the
   // threads knob (rows are bit-identical at any thread count).
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::closure(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const ClosureResult*>(hit.get());
-    }
-  }
-  ClosureResult result = detail::run_closure(g_, nullptr, sources, q, exec_);
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const ClosureResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return cached<ClosureResult>(
+      [&] { return QueryKey::closure(q, sources); },
+      [&] { return detail::run_closure(g_, nullptr, sources, q, exec_); });
 }
 
 // ---------------------------------------------------------------------------
@@ -261,43 +237,33 @@ KReachabilityResult QueryEngine::k_reachability(
   const std::vector<NodeId> sources =
       detail::closure_sources(g_, q.closure.sources,
                           "QueryEngine::k_reachability: source out of range");
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::k_reachability(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const KReachabilityResult*>(hit.get());
+  return cached<KReachabilityResult>(
+      [&] { return QueryKey::k_reachability(q, sources); }, [&] {
+    const ClosureResult swept = closure(q.closure);
+    const std::size_t n = g_.node_count();
+    KReachabilityResult result;
+    result.truncated = swept.truncated;
+    result.counts.assign(n, 0);
+    // Each task owns a contiguous column range: writes are disjoint and
+    // every count is a plain integer sum — identical at any thread count.
+    const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
+    exec_.parallel_for(chunks, q.closure.threads,
+                       [&](std::size_t c, SearchWorkspace&) {
+      const std::size_t lo = c * kColumnChunk;
+      const std::size_t hi = std::min(n, lo + kColumnChunk);
+      for (const std::vector<Time>& row : swept.rows) {
+        for (std::size_t v = lo; v < hi; ++v) {
+          result.counts[v] += row[v] != kTimeInfinity ? 1u : 0u;
+        }
+      }
+    });
+    for (std::size_t v = 0; v < n; ++v) {
+      if (result.counts[v] >= q.k) {
+        result.nodes.push_back(static_cast<NodeId>(v));
+      }
     }
-  }
-  const ClosureResult swept = closure(q.closure);
-  const std::size_t n = g_.node_count();
-  KReachabilityResult result;
-  result.truncated = swept.truncated;
-  result.counts.assign(n, 0);
-  // Each task owns a contiguous column range: writes are disjoint and
-  // every count is a plain integer sum — identical at any thread count.
-  const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  exec_.parallel_for(chunks, q.closure.threads,
-               [&](std::size_t c, SearchWorkspace&) {
-                 const std::size_t lo = c * kColumnChunk;
-                 const std::size_t hi = std::min(n, lo + kColumnChunk);
-                 for (const std::vector<Time>& row : swept.rows) {
-                   for (std::size_t v = lo; v < hi; ++v) {
-                     result.counts[v] += row[v] != kTimeInfinity ? 1u : 0u;
-                   }
-                 }
-               });
-  for (std::size_t v = 0; v < n; ++v) {
-    if (result.counts[v] >= q.k) {
-      result.nodes.push_back(static_cast<NodeId>(v));
-    }
-  }
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const KReachabilityResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+    return result;
+  });
 }
 
 InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
@@ -309,202 +275,171 @@ InfluenceResult QueryEngine::influence_spread(const InfluenceQuery& q) const {
       }
     }
   }
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::influence(q);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const InfluenceResult*>(hit.get());
-    }
-  }
-  const std::size_t n = g_.node_count();
-  const std::size_t samples = q.sample_times.size();
-  InfluenceResult result;
-  result.spread.resize(q.source_sets.size());
-  result.total.assign(q.source_sets.size(), 0);
-  const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  for (std::size_t s = 0; s < q.source_sets.size(); ++s) {
-    result.spread[s].assign(samples, 0);
-    // An empty seed set infects nobody (it must NOT expand to "all
-    // nodes" the way an empty closure source list does).
-    if (q.source_sets[s].empty()) continue;
-    ClosureQuery sweep;
-    sweep.sources = q.source_sets[s];
-    sweep.start_time = q.start_time;
-    sweep.policy = q.policy;
-    sweep.limits = q.limits;
-    sweep.threads = q.threads;
-    const ClosureResult swept = closure(sweep);
-    result.truncated = result.truncated || swept.truncated;
-    // Per-chunk partial histograms merged in chunk order: the union
-    // cone's min-fold and the threshold counts are all integral, so the
-    // curve is identical at any thread count.
-    std::vector<std::vector<std::size_t>> partial(chunks);
-    exec_.parallel_for(chunks, q.threads, [&](std::size_t c, SearchWorkspace&) {
-      auto& p = partial[c];
-      p.assign(samples + 1, 0);
-      const std::size_t lo = c * kColumnChunk;
-      const std::size_t hi = std::min(n, lo + kColumnChunk);
-      for (std::size_t v = lo; v < hi; ++v) {
-        Time m = kTimeInfinity;
-        for (const std::vector<Time>& row : swept.rows) {
-          m = std::min(m, row[v]);
+  return cached<InfluenceResult>([&] { return QueryKey::influence(q); }, [&] {
+    const std::size_t n = g_.node_count();
+    const std::size_t samples = q.sample_times.size();
+    InfluenceResult result;
+    result.spread.resize(q.source_sets.size());
+    result.total.assign(q.source_sets.size(), 0);
+    const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
+    for (std::size_t s = 0; s < q.source_sets.size(); ++s) {
+      result.spread[s].assign(samples, 0);
+      // An empty seed set infects nobody (it must NOT expand to "all
+      // nodes" the way an empty closure source list does).
+      if (q.source_sets[s].empty()) continue;
+      ClosureQuery sweep;
+      sweep.sources = q.source_sets[s];
+      sweep.start_time = q.start_time;
+      sweep.policy = q.policy;
+      sweep.limits = q.limits;
+      sweep.threads = q.threads;
+      const ClosureResult swept = closure(sweep);
+      result.truncated = result.truncated || swept.truncated;
+      // Per-chunk partial histograms merged in chunk order: the union
+      // cone's min-fold and the threshold counts are all integral, so the
+      // curve is identical at any thread count.
+      std::vector<std::vector<std::size_t>> partial(chunks);
+      exec_.parallel_for(chunks, q.threads,
+                         [&](std::size_t c, SearchWorkspace&) {
+        auto& p = partial[c];
+        p.assign(samples + 1, 0);
+        const std::size_t lo = c * kColumnChunk;
+        const std::size_t hi = std::min(n, lo + kColumnChunk);
+        for (std::size_t v = lo; v < hi; ++v) {
+          Time m = kTimeInfinity;
+          for (const std::vector<Time>& row : swept.rows) {
+            m = std::min(m, row[v]);
+          }
+          if (m == kTimeInfinity) continue;
+          ++p[samples];  // reached by the horizon
+          for (std::size_t j = 0; j < samples; ++j) {
+            if (m <= q.sample_times[j]) ++p[j];
+          }
         }
-        if (m == kTimeInfinity) continue;
-        ++p[samples];  // reached by the horizon
+      });
+      for (const auto& p : partial) {
+        if (p.empty()) continue;
+        result.total[s] += p[samples];
         for (std::size_t j = 0; j < samples; ++j) {
-          if (m <= q.sample_times[j]) ++p[j];
+          result.spread[s][j] += p[j];
         }
       }
-    });
-    for (const auto& p : partial) {
-      if (p.empty()) continue;
-      result.total[s] += p[samples];
-      for (std::size_t j = 0; j < samples; ++j) {
-        result.spread[s][j] += p[j];
-      }
     }
-  }
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const InfluenceResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+    return result;
+  });
 }
 
 BetweennessResult QueryEngine::betweenness(const BetweennessQuery& q) const {
   const std::vector<NodeId> sources = detail::closure_sources(
       g_, q.sources, "QueryEngine::betweenness: source out of range");
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::betweenness(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const BetweennessResult*>(hit.get());
-    }
-  }
-  const std::size_t n = g_.node_count();
-  BetweennessResult result;
-  result.score.assign(n, 0.0);
-  std::vector<char> truncated(sources.size(), 0);
-  // Per-source foremost trees accumulate under a merge lock; every
-  // contribution is an integer-valued double (witness-path counts), so
-  // the commutative merge cannot change any score bit.
-  Mutex merge_mu;
-  exec_.parallel_for(
-      sources.size(), q.threads, [&](std::size_t i, SearchWorkspace& ws) {
-        const ForemostTree tree = foremost_arrivals(
-            g_, sources[i], q.start_time, q.policy, q.limits, ws);
-        truncated[i] = tree.truncated ? 1 : 0;
-        // Brandes-style subtree fold over the witness forest: seed one
-        // unit at every reachable target's best config, fold children
-        // into parents (a parent's index always precedes its child's),
-        // and credit each non-root config's node with the paths passing
-        // strictly through it (its own seed excluded — endpoints don't
-        // count).
-        std::vector<double> weight(tree.configs.size(), 0.0);
-        std::vector<char> seeded(tree.configs.size(), 0);
-        for (std::size_t v = 0; v < n; ++v) {
-          if (static_cast<NodeId>(v) == tree.source) continue;
-          const std::int64_t cfg = tree.best_config[v];
-          if (cfg < 0) continue;
-          weight[static_cast<std::size_t>(cfg)] += 1.0;
-          seeded[static_cast<std::size_t>(cfg)] = 1;
-        }
-        std::vector<double> local(n, 0.0);
-        for (std::size_t idx = tree.configs.size(); idx-- > 0;) {
-          const auto& c = tree.configs[idx];
-          if (c.parent < 0) continue;  // root: the source endpoint
-          const double through = weight[idx] - (seeded[idx] ? 1.0 : 0.0);
-          if (through > 0.0) local[c.node] += through;
-          weight[static_cast<std::size_t>(c.parent)] += weight[idx];
-        }
-        const MutexLock lock(merge_mu);
-        for (std::size_t v = 0; v < n; ++v) result.score[v] += local[v];
-      });
-  result.truncated =
-      std::any_of(truncated.begin(), truncated.end(),
-                  [](char c) { return c != 0; });
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const BetweennessResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+  return cached<BetweennessResult>(
+      [&] { return QueryKey::betweenness(q, sources); }, [&] {
+    const std::size_t n = g_.node_count();
+    BetweennessResult result;
+    result.score.assign(n, 0.0);
+    std::vector<char> truncated(sources.size(), 0);
+    // Per-source foremost trees accumulate under a merge lock; every
+    // contribution is an integer-valued double (witness-path counts), so
+    // the commutative merge cannot change any score bit.
+    Mutex merge_mu;
+    exec_.parallel_for(
+        sources.size(), q.threads, [&](std::size_t i, SearchWorkspace& ws) {
+          const ForemostTree tree = foremost_arrivals(
+              g_, sources[i], q.start_time, q.policy, q.limits, ws);
+          truncated[i] = tree.truncated ? 1 : 0;
+          // Brandes-style subtree fold over the witness forest: seed one
+          // unit at every reachable target's best config, fold children
+          // into parents (a parent's index always precedes its child's),
+          // and credit each non-root config's node with the paths passing
+          // strictly through it (its own seed excluded — endpoints don't
+          // count).
+          std::vector<double> weight(tree.configs.size(), 0.0);
+          std::vector<char> seeded(tree.configs.size(), 0);
+          for (std::size_t v = 0; v < n; ++v) {
+            if (static_cast<NodeId>(v) == tree.source) continue;
+            const std::int64_t cfg = tree.best_config[v];
+            if (cfg < 0) continue;
+            weight[static_cast<std::size_t>(cfg)] += 1.0;
+            seeded[static_cast<std::size_t>(cfg)] = 1;
+          }
+          std::vector<double> local(n, 0.0);
+          for (std::size_t idx = tree.configs.size(); idx-- > 0;) {
+            const auto& c = tree.configs[idx];
+            if (c.parent < 0) continue;  // root: the source endpoint
+            const double through = weight[idx] - (seeded[idx] ? 1.0 : 0.0);
+            if (through > 0.0) local[c.node] += through;
+            weight[static_cast<std::size_t>(c.parent)] += weight[idx];
+          }
+          const MutexLock lock(merge_mu);
+          for (std::size_t v = 0; v < n; ++v) result.score[v] += local[v];
+        });
+    result.truncated =
+        std::any_of(truncated.begin(), truncated.end(),
+                    [](char c) { return c != 0; });
+    return result;
+  });
 }
 
 CentralityResult QueryEngine::centrality(const CentralityQuery& q) const {
   const std::vector<NodeId> sources = detail::closure_sources(
       g_, q.closure.sources, "QueryEngine::centrality: source out of range");
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::centrality(q, sources);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const CentralityResult*>(hit.get());
+  return cached<CentralityResult>(
+      [&] { return QueryKey::centrality(q, sources); }, [&] {
+    const ClosureResult swept = closure(q.closure);
+    const std::size_t n = g_.node_count();
+    const std::size_t s_count = sources.size();
+    // Endorsement weight of source s for node v: 1 / (1 + foremost
+    // delay), normalized by the row's total mass — recomputed on the fly
+    // each round so the iteration never materializes an S x n double
+    // matrix on top of the row block.
+    std::vector<double> mass(s_count, 0.0);
+    exec_.parallel_for(s_count, q.closure.threads,
+                       [&](std::size_t s, SearchWorkspace&) {
+      const std::vector<Time>& row = swept.rows[s];
+      double m = 0.0;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (row[v] == kTimeInfinity) continue;
+        // time-arith: double accumulation (delta via sat_sub)
+        m += 1.0 / (1.0 + static_cast<double>(
+                              sat_sub(row[v], q.closure.start_time)));
+      }
+      mass[s] = m;
+    });
+    CentralityResult result;
+    result.truncated = swept.truncated;
+    result.score.assign(n, 1.0);
+    std::vector<double> next(n, 0.0);
+    std::vector<double> source_score(s_count, 0.0);
+    const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
+    for (std::size_t round = 0; round < q.iterations; ++round) {
+      // Gather the sampled sources' current scores once (fixed order),
+      // then rebuild every node's score in disjoint column shards; the
+      // inner reduction always runs ascending over s inside one task, so
+      // the doubles come out bit-identical at any thread count.
+      for (std::size_t s = 0; s < s_count; ++s) {
+        source_score[s] = result.score[sources[s]];
+      }
+      exec_.parallel_for(chunks, q.closure.threads,
+                         [&](std::size_t c, SearchWorkspace&) {
+        const std::size_t lo = c * kColumnChunk;
+        const std::size_t hi = std::min(n, lo + kColumnChunk);
+        for (std::size_t v = lo; v < hi; ++v) {
+          double acc = 0.0;
+          for (std::size_t s = 0; s < s_count; ++s) {
+            if (mass[s] == 0.0) continue;
+            const Time arr = swept.rows[s][v];
+            if (arr == kTimeInfinity) continue;
+            const double w = 1.0 / (1.0 + static_cast<double>(sat_sub(
+                                              arr, q.closure.start_time)));
+            acc += (w / mass[s]) * source_score[s];
+          }
+          next[v] = (1.0 - q.damping) + q.damping * acc;
+        }
+      });
+      result.score.swap(next);
     }
-  }
-  const ClosureResult swept = closure(q.closure);
-  const std::size_t n = g_.node_count();
-  const std::size_t s_count = sources.size();
-  // Endorsement weight of source s for node v: 1 / (1 + foremost delay),
-  // normalized by the row's total mass — recomputed on the fly each
-  // round so the iteration never materializes an S x n double matrix on
-  // top of the row block.
-  std::vector<double> mass(s_count, 0.0);
-  exec_.parallel_for(s_count, q.closure.threads,
-               [&](std::size_t s, SearchWorkspace&) {
-                 const std::vector<Time>& row = swept.rows[s];
-                 double m = 0.0;
-                 for (std::size_t v = 0; v < n; ++v) {
-                   if (row[v] == kTimeInfinity) continue;
-                   // time-arith: double accumulation (delta via sat_sub)
-                   m += 1.0 / (1.0 + static_cast<double>(sat_sub(
-                                         row[v], q.closure.start_time)));
-                 }
-                 mass[s] = m;
-               });
-  CentralityResult result;
-  result.truncated = swept.truncated;
-  result.score.assign(n, 1.0);
-  std::vector<double> next(n, 0.0);
-  std::vector<double> source_score(s_count, 0.0);
-  const std::size_t chunks = (n + kColumnChunk - 1) / kColumnChunk;
-  for (std::size_t round = 0; round < q.iterations; ++round) {
-    // Gather the sampled sources' current scores once (fixed order),
-    // then rebuild every node's score in disjoint column shards; the
-    // inner reduction always runs ascending over s inside one task, so
-    // the doubles come out bit-identical at any thread count.
-    for (std::size_t s = 0; s < s_count; ++s) {
-      source_score[s] = result.score[sources[s]];
-    }
-    exec_.parallel_for(chunks, q.closure.threads,
-                 [&](std::size_t c, SearchWorkspace&) {
-                   const std::size_t lo = c * kColumnChunk;
-                   const std::size_t hi = std::min(n, lo + kColumnChunk);
-                   for (std::size_t v = lo; v < hi; ++v) {
-                     double acc = 0.0;
-                     for (std::size_t s = 0; s < s_count; ++s) {
-                       if (mass[s] == 0.0) continue;
-                       const Time arr = swept.rows[s][v];
-                       if (arr == kTimeInfinity) continue;
-                       const double w =
-                           1.0 / (1.0 + static_cast<double>(sat_sub(
-                                            arr, q.closure.start_time)));
-                       acc += (w / mass[s]) * source_score[s];
-                     }
-                     next[v] = (1.0 - q.damping) + q.damping * acc;
-                   }
-                 });
-    result.score.swap(next);
-  }
-  if (cache_) {
-    const auto owned =
-        std::make_shared<const CentralityResult>(std::move(result));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
-  return result;
+    return result;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -521,8 +456,8 @@ constexpr std::uint32_t kNoTrieNode = 0xffffffffu;
 /// node 0 is the root (the empty prefix), children hang off
 /// first_child/next_sibling links, and the words ending at a node chain
 /// through word_next. No per-node heap allocation — a batch of one word
-/// costs two vector builds, so the single-word acceptance path stays
-/// close to a hand-rolled search. Each node counts how many words in
+/// costs two vector builds, so a point query stays close to a
+/// hand-rolled chain walk. Each node counts how many words in
 /// its subtree are still unresolved, so the search can prune branches
 /// whose every word already has a verdict.
 struct WordTrie {
@@ -595,53 +530,36 @@ struct BatchConfig {
   Time dep{0};
 };
 
-}  // namespace
-
-std::vector<AcceptOutcome> QueryEngine::accepts(
-    const AcceptSpec& spec, std::span<const Word> words) const {
-  for (const NodeId v : spec.initial) {
-    if (v >= g_.node_count()) {
-      throw std::out_of_range("QueryEngine::accepts: initial out of range");
+/// Walks the config forest back from `idx`, collecting the crossed legs
+/// of the witness journey.
+[[nodiscard]] Journey witness_from(const std::vector<BatchConfig>& configs,
+                                   std::int64_t idx, Time start_time) {
+  std::vector<JourneyLeg> legs;
+  NodeId start = kInvalidNode;
+  for (std::int64_t i = idx; i >= 0;
+       i = configs[static_cast<std::size_t>(i)].parent) {
+    const BatchConfig& c = configs[static_cast<std::size_t>(i)];
+    if (c.via != kInvalidEdge) {
+      legs.push_back(JourneyLeg{c.via, c.dep});
+    } else {
+      start = c.node;
     }
   }
-  for (const NodeId v : spec.accepting) {
-    if (v >= g_.node_count()) {
-      throw std::out_of_range("QueryEngine::accepts: accepting out of range");
-    }
-  }
+  std::reverse(legs.begin(), legs.end());
+  return Journey{start, start_time, std::move(legs)};
+}
 
-  // Key = spec + exact word sequence (outcomes are positional). Checked
-  // right after validation so a hit pays no search setup (no accepting
-  // bitmap, no trie).
-  QueryKey key;
-  if (cache_) {
-    key = QueryKey::accept(spec, words);
-    if (const auto hit = cache_->find(key, generation_)) {
-      return *static_cast<const std::vector<AcceptOutcome>*>(hit.get());
-    }
-  }
-
-  // Point queries skip the trie machinery entirely (the ROADMAP's
-  // single-word fast path); the chain walk reproduces the batch-of-one
-  // outcome bit for bit.
-  if (words.size() == 1) {
-    std::vector<AcceptOutcome> outcomes;
-    outcomes.push_back(accepts_single(spec, words.front()));
-    if (cache_) {
-      const auto owned = std::make_shared<const std::vector<AcceptOutcome>>(
-          std::move(outcomes));
-      cache_->insert(key, generation_, owned, approx_bytes(*owned));
-      return *owned;
-    }
-    return outcomes;
-  }
-
-  std::vector<char> accepting(g_.node_count(), 0);
+/// The acceptance search itself: one configuration search over (node,
+/// time, trie-position) deciding every word of the batch.
+[[nodiscard]] std::vector<AcceptOutcome> accept_batch(
+    const TimeVaryingGraph& g, const AcceptSpec& spec,
+    std::span<const Word> words) {
+  std::vector<char> accepting(g.node_count(), 0);
   for (const NodeId v : spec.accepting) accepting[v] = 1;
 
   std::vector<AcceptOutcome> outcomes(words.size());
   WordTrie trie(words);
-  const ScheduleIndex& sx = g_.schedule_index();
+  const ScheduleIndex& sx = g.schedule_index();
   std::vector<BatchConfig> configs;
   // Exact (node, time) admission per trie position — the same dedup the
   // per-word search keeps per word position, shared across the batch.
@@ -685,7 +603,7 @@ std::vector<AcceptOutcome> QueryEngine::accepts(
          child != kNoTrieNode; child = trie.nodes[child].next_sibling) {
       const Symbol symbol = trie.nodes[child].symbol;
       if (trie.nodes[child].pending == 0) continue;  // branch fully decided
-      for (const EdgeId eid : g_.out_edges_labeled(cur.node, symbol)) {
+      for (const EdgeId eid : g.out_edges_labeled(cur.node, symbol)) {
         if (trie.nodes[child].pending == 0) break;
         // Affine ζ under Wait: arrival is monotone in departure, so the
         // earliest admissible departure dominates (budget 1 is exact).
@@ -708,87 +626,30 @@ std::vector<AcceptOutcome> QueryEngine::accepts(
     outcomes[w].configs_explored = configs.size();
     if (!outcomes[w].accepted) outcomes[w].truncated = truncated;
   }
-  if (cache_) {
-    const auto owned = std::make_shared<const std::vector<AcceptOutcome>>(
-        std::move(outcomes));
-    cache_->insert(key, generation_, owned, approx_bytes(*owned));
-    return *owned;
-  }
   return outcomes;
 }
 
-AcceptOutcome QueryEngine::accepts_single(const AcceptSpec& spec,
-                                          const Word& word) const {
-  // A one-word trie degenerates to a path (trie node k = the length-k
-  // prefix), so the trie build, the intrusive word list, and the pending
-  // counters all collapse into a position index, and "subtree resolved"
-  // becomes "the word was accepted". Exploration order, admission,
-  // budget checks, and outcome fields mirror the batched search exactly
-  // — a batch of one must be indistinguishable from this walk.
-  std::vector<char> accepting(g_.node_count(), 0);
-  for (const NodeId v : spec.accepting) accepting[v] = 1;
-  const auto length = static_cast<std::uint32_t>(word.size());
-  const ScheduleIndex& sx = g_.schedule_index();
+}  // namespace
 
-  struct ChainConfig {
-    NodeId node{kInvalidNode};
-    Time time{0};
-    std::uint32_t pos{0};  // word symbols consumed (the trie position)
-    std::int64_t parent{-1};
-    EdgeId via{kInvalidEdge};
-    Time dep{0};
-  };
-  std::vector<ChainConfig> configs;
-  std::vector<ConfigAdmission> admission(length + 1,
-                                         ConfigAdmission(spec.horizon));
-  AcceptOutcome out;
-  bool truncated = false;
-
-  auto push = [&](const ChainConfig& c) {
-    if (!admission[c.pos].admit(c.node, c.time)) return;
-    configs.push_back(c);
-    if (c.pos != length || accepting[c.node] == 0 || out.accepted) return;
-    out.accepted = true;
-    out.witness =
-        witness_from(configs, static_cast<std::int64_t>(configs.size()) - 1,
-                     spec.start_time);
-  };
-
+std::vector<AcceptOutcome> QueryEngine::accepts(
+    const AcceptSpec& spec, std::span<const Word> words) const {
   for (const NodeId v : spec.initial) {
-    if (out.accepted) break;
-    push(ChainConfig{v, spec.start_time, 0, -1, kInvalidEdge, 0});
-  }
-
-  for (std::size_t next = 0; next < configs.size() && !out.accepted;
-       ++next) {
-    if (configs.size() >= spec.max_configs) {
-      truncated = true;
-      break;
+    if (v >= g_.node_count()) {
+      throw std::out_of_range("QueryEngine::accepts: initial out of range");
     }
-    const ChainConfig cur = configs[next];
-    if (cur.pos == length) continue;  // leaf: nothing left to read
-    const auto idx = static_cast<std::int64_t>(next);
-    const Symbol symbol = word[cur.pos];
-    for (const EdgeId eid : g_.out_edges_labeled(cur.node, symbol)) {
-      if (out.accepted) break;
-      // Affine ζ under Wait: arrival is monotone in departure, so the
-      // earliest admissible departure dominates (budget 1 is exact).
-      const std::size_t wait_budget =
-          sx.record(eid).lat_affine ? 1 : spec.departures_per_edge;
-      for_each_policy_departure(
-          sx, eid, cur.time, spec.policy, spec.horizon, wait_budget,
-          [&](Time dep) {
-            const Time arr = sx.arrival(eid, dep);
-            push(ChainConfig{sx.record(eid).to, arr,
-                             cur.pos + 1, idx, eid, dep});
-            return !out.accepted;
-          });
+  }
+  for (const NodeId v : spec.accepting) {
+    if (v >= g_.node_count()) {
+      throw std::out_of_range("QueryEngine::accepts: accepting out of range");
     }
   }
 
-  out.configs_explored = configs.size();
-  if (!out.accepted) out.truncated = truncated;
-  return out;
+  // Key = spec + exact word sequence (outcomes are positional). Looked up
+  // right after validation so a hit pays no search setup (no accepting
+  // bitmap, no trie).
+  return cached<std::vector<AcceptOutcome>>(
+      [&] { return QueryKey::accept(spec, words); },
+      [&] { return accept_batch(g_, spec, words); });
 }
 
 }  // namespace tvg

@@ -41,11 +41,12 @@
 //    semantically invisible because the engine's compiled state is
 //    frozen for its whole lifetime.
 //
-// Of the pre-engine free functions, temporal_closure, the metrics sweeps
-// and TvgAutomaton::accepts wrap an engine; foremost_journey,
-// shortest_journey and the other single-query functions call the same
-// kernels directly on a thread-local arena. New code and anything
-// batching more than one query should come here.
+// This is the one read API: every journey, reachability, closure and
+// analytics question goes through an engine (this one, or MutableEngine
+// for a live graph). algorithms.hpp keeps only the kernel-level entry
+// points that take an explicit SearchWorkspace; the engines, the
+// bit-identity suites and the microbenches call those. A predicate ρ/ζ
+// that re-enters an engine mid-search leases its own pooled workspace.
 #pragma once
 
 #include <algorithm>
@@ -158,8 +159,8 @@ struct JourneyResult {
   friend bool operator==(const JourneyResult&, const JourneyResult&) = default;
 };
 
-/// Multi-source foremost-closure request (the all-pairs sweep behind
-/// temporal_closure / temporally_connected / temporal_diameter).
+/// Multi-source foremost-closure request: the all-pairs sweep behind
+/// temporal connectivity, diameter and the analytics below.
 struct ClosureQuery {
   /// Sources to scan; empty = every node, in NodeId order.
   std::vector<NodeId> sources;
@@ -447,6 +448,12 @@ class ReadExecutor {
     const TimeVaryingGraph& g, const std::vector<NodeId>& sources,
     const char* what);
 
+/// Approximate heap footprint of a cached journey result — its weight
+/// against CacheConfig::max_bytes in both engines' caches. Deliberately
+/// rough (struct size + owned array payloads): the budget guards against
+/// row blowup, not malloc-exact bookkeeping.
+[[nodiscard]] std::size_t approx_bytes(const JourneyResult& r);
+
 /// Foremost rows from each of `sources` (already checked), sharded on
 /// `exec` at q.threads. On a frozen graph the lane-packing predicate
 /// picks the kernel: eligible graphs run 64-source packed words, one
@@ -555,12 +562,14 @@ class QueryEngine {
       const AcceptSpec& spec, std::span<const Word> words) const;
 
  private:
-  /// Batch-of-one acceptance fast path: a chain-specialized walk that
-  /// skips the trie build and the pending-subtree bookkeeping. Outcome
-  /// fields (accepted, truncated, configs_explored, witness) match the
-  /// batched search on the same single word exactly.
-  [[nodiscard]] AcceptOutcome accepts_single(const AcceptSpec& spec,
-                                             const Word& word) const;
+  /// The cache path every entry point shares. With the cache off it
+  /// returns compute(). With it on, it looks key() up (skipped when
+  /// `probed`: the caller already missed on that key), and on a miss
+  /// inserts compute()'s result; either way it returns a copy. A
+  /// compute() that throws inserts nothing.
+  template <typename R, typename KeyFn, typename ComputeFn>
+  [[nodiscard]] R cached(KeyFn&& key, ComputeFn&& compute,
+                         bool probed = false) const;
 
   const TimeVaryingGraph& g_;
   /// Workspace pool and persistent workers behind every entry point

@@ -1,13 +1,93 @@
 // Unit tests for temporal reachability and journey optimization —
 // foremost / shortest / fastest under all three waiting policies, and the
-// dominance asymmetry that separates Wait from the others.
+// dominance asymmetry that separates Wait from the others. Foremost
+// trees come from the kernel entry point on a fresh workspace; every
+// other question goes through a one-shot QueryEngine.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "tvg/algorithms.hpp"
 #include "tvg/generators.hpp"
+#include "tvg/query_engine.hpp"
 
 namespace tvg {
 namespace {
+
+ForemostTree foremost(const TimeVaryingGraph& g, NodeId source, Time start,
+                      Policy policy, SearchLimits limits = {}) {
+  SearchWorkspace ws;
+  return foremost_arrivals(g, source, start, policy, limits, ws);
+}
+
+JourneyResult ask(const TimeVaryingGraph& g, const JourneyQuery& q) {
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  return engine.run(q);
+}
+
+std::optional<Journey> shortest(const TimeVaryingGraph& g, NodeId source,
+                                NodeId target, Time start, Policy policy,
+                                SearchLimits limits = {}) {
+  return ask(g, JourneyQuery::shortest(source, target, start)
+                    .under(policy)
+                    .within(limits))
+      .journey;
+}
+
+JourneyResult fastest(const TimeVaryingGraph& g, NodeId source,
+                      NodeId target, Time depart_lo, Time depart_hi,
+                      Policy policy, SearchLimits limits) {
+  return ask(g, JourneyQuery::fastest(source, target, depart_lo, depart_hi)
+                    .under(policy)
+                    .within(limits));
+}
+
+/// reach[v] = the untargeted foremost row's entry at v is finite.
+std::vector<bool> reachable(const TimeVaryingGraph& g, NodeId source,
+                            Time start, Policy policy,
+                            SearchLimits limits = {}) {
+  const JourneyResult row = ask(
+      g, JourneyQuery::foremost(source, start).under(policy).within(limits));
+  std::vector<bool> reach(row.arrivals.size());
+  for (NodeId v = 0; v < row.arrivals.size(); ++v) {
+    reach[v] = row.arrivals[v] != kTimeInfinity;
+  }
+  return reach;
+}
+
+std::vector<std::vector<Time>> closure_rows(const TimeVaryingGraph& g,
+                                            Time start, Policy policy,
+                                            SearchLimits limits = {}) {
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  ClosureQuery q;
+  q.start_time = start;
+  q.policy = policy;
+  q.limits = limits;
+  return engine.closure(q).rows;
+}
+
+/// Temporally connected from `start`: every closure entry is finite.
+bool connected(const TimeVaryingGraph& g, Time start, Policy policy,
+               SearchLimits limits) {
+  for (const auto& row : closure_rows(g, start, policy, limits)) {
+    if (std::count(row.begin(), row.end(), kTimeInfinity) > 0) return false;
+  }
+  return true;
+}
+
+/// Temporal diameter: the largest closure entry minus `start`, nullopt
+/// when some pair is unreachable.
+std::optional<Time> diameter(const TimeVaryingGraph& g, Time start,
+                             Policy policy, SearchLimits limits) {
+  Time diam = 0;
+  for (const auto& row : closure_rows(g, start, policy, limits)) {
+    for (const Time t : row) {
+      if (t == kTimeInfinity) return std::nullopt;
+      diam = std::max(diam, sat_sub(t, start));
+    }
+  }
+  return diam;
+}
 
 // The classic store-carry-forward example: u-v exists early, v-w late.
 struct Relay {
@@ -29,8 +109,7 @@ Relay make_relay() {
 
 TEST(Foremost, WaitBridgesTemporalGaps) {
   const Relay r = make_relay();
-  const ForemostTree t =
-      foremost_arrivals(r.g, r.u, 0, Policy::wait());
+  const ForemostTree t = foremost(r.g, r.u, 0, Policy::wait());
   EXPECT_EQ(t.arrival[r.u], 0);
   EXPECT_EQ(t.arrival[r.v], 1);
   EXPECT_EQ(t.arrival[r.w], 9);  // waits at v until 8
@@ -38,8 +117,8 @@ TEST(Foremost, WaitBridgesTemporalGaps) {
 
 TEST(Foremost, NoWaitCannotBridge) {
   const Relay r = make_relay();
-  const ForemostTree t = foremost_arrivals(
-      r.g, r.u, 0, Policy::no_wait(), SearchLimits::up_to(100));
+  const ForemostTree t =
+      foremost(r.g, r.u, 0, Policy::no_wait(), SearchLimits::up_to(100));
   EXPECT_EQ(t.arrival[r.v], 1);
   EXPECT_EQ(t.arrival[r.w], kTimeInfinity);
 }
@@ -49,17 +128,17 @@ TEST(Foremost, BoundedWaitBridgesIffBoundSuffices) {
   // The LATEST arrival at v is 2 (departing uv at 1 — bounded-wait
   // reachability is non-monotone in arrival time!), so the vw window
   // [8,10) is reachable iff 2 + d >= 8, i.e. d >= 6.
-  const ForemostTree t5 = foremost_arrivals(
+  const ForemostTree t5 = foremost(
       r.g, r.u, 0, Policy::bounded_wait(5), SearchLimits::up_to(100));
   EXPECT_EQ(t5.arrival[r.w], kTimeInfinity);
-  const ForemostTree t6 = foremost_arrivals(
+  const ForemostTree t6 = foremost(
       r.g, r.u, 0, Policy::bounded_wait(6), SearchLimits::up_to(100));
   EXPECT_EQ(t6.arrival[r.w], 9);
 }
 
 TEST(Foremost, WitnessJourneysValidate) {
   const Relay r = make_relay();
-  const ForemostTree t = foremost_arrivals(r.g, r.u, 0, Policy::wait());
+  const ForemostTree t = foremost(r.g, r.u, 0, Policy::wait());
   const auto j = t.journey_to(r.g, r.w);
   ASSERT_TRUE(j.has_value());
   EXPECT_TRUE(validate_journey(r.g, *j, Policy::wait()).ok);
@@ -70,8 +149,8 @@ TEST(Foremost, WitnessJourneysValidate) {
 
 TEST(Foremost, UnreachableGivesNoJourney) {
   const Relay r = make_relay();
-  const ForemostTree t = foremost_arrivals(
-      r.g, r.w, 0, Policy::wait(), SearchLimits::up_to(1000));
+  const ForemostTree t =
+      foremost(r.g, r.w, 0, Policy::wait(), SearchLimits::up_to(1000));
   EXPECT_EQ(t.arrival[r.u], kTimeInfinity);
   EXPECT_EQ(t.journey_to(r.g, r.u), std::nullopt);
 }
@@ -87,8 +166,8 @@ TEST(Foremost, LaterArrivalCanWinUnderNoWait) {
   g.add_edge(s, m, 'a', Presence::always(), Latency::constant(1));  // m @1
   g.add_edge(s, m, 'b', Presence::always(), Latency::constant(5));  // m @5
   g.add_edge(m, z, 'c', Presence::at_times({5}), Latency::constant(1));
-  const ForemostTree t = foremost_arrivals(
-      g, s, 0, Policy::no_wait(), SearchLimits::up_to(100));
+  const ForemostTree t =
+      foremost(g, s, 0, Policy::no_wait(), SearchLimits::up_to(100));
   EXPECT_EQ(t.arrival[m], 1);  // earliest arrival at m...
   EXPECT_EQ(t.arrival[z], 6);  // ...but z is reached via the @5 arrival
   const auto j = t.journey_to(g, z);
@@ -106,7 +185,7 @@ TEST(Shortest, PrefersFewerHopsOverEarlierArrival) {
   g.add_edge(s, a, 'x', Presence::always(), Latency::constant(1));
   g.add_edge(a, t, 'x', Presence::always(), Latency::constant(1));
   g.add_edge(s, t, 'y', Presence::always(), Latency::constant(50));
-  const auto j = shortest_journey(g, s, t, 0, Policy::wait());
+  const auto j = shortest(g, s, t, 0, Policy::wait());
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->hops(), 1u);
   EXPECT_EQ(j->word(g), "y");
@@ -114,17 +193,17 @@ TEST(Shortest, PrefersFewerHopsOverEarlierArrival) {
 
 TEST(Shortest, WorksUnderNoWait) {
   const Relay r = make_relay();
-  EXPECT_EQ(shortest_journey(r.g, r.u, r.w, 0, Policy::no_wait(),
-                             SearchLimits::up_to(50)),
-            std::nullopt);
-  const auto j = shortest_journey(r.g, r.u, r.w, 0, Policy::wait());
+  EXPECT_EQ(
+      shortest(r.g, r.u, r.w, 0, Policy::no_wait(), SearchLimits::up_to(50)),
+      std::nullopt);
+  const auto j = shortest(r.g, r.u, r.w, 0, Policy::wait());
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->hops(), 2u);
 }
 
 TEST(Shortest, SourceEqualsTargetIsEmpty) {
   const Relay r = make_relay();
-  const auto j = shortest_journey(r.g, r.u, r.u, 3, Policy::wait());
+  const auto j = shortest(r.g, r.u, r.u, 3, Policy::wait());
   ASSERT_TRUE(j.has_value());
   EXPECT_TRUE(j->empty());
 }
@@ -137,7 +216,7 @@ TEST(Fastest, MinimizesDurationNotArrival) {
   g.add_edge(s, t, 'a', Presence::at_times({0}), Latency::constant(20));
   g.add_edge(s, t, 'b', Presence::at_times({10}), Latency::constant(2));
   const auto j =
-      fastest_journey(g, s, t, 0, 15, Policy::wait(), SearchLimits::up_to(64));
+      fastest(g, s, t, 0, 15, Policy::wait(), SearchLimits::up_to(64)).journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->word(g), "b");
   EXPECT_EQ(j->duration(g), 2);
@@ -147,8 +226,9 @@ TEST(Fastest, MinimizesDurationNotArrival) {
 TEST(Fastest, MultiHopDuration) {
   const Relay r = make_relay();
   // Departing at 1 (last uv instant) minimizes time spent waiting at v.
-  const auto j = fastest_journey(r.g, r.u, r.w, 0, 20, Policy::wait(),
-                                 SearchLimits::up_to(200));
+  const auto j = fastest(r.g, r.u, r.w, 0, 20, Policy::wait(),
+                         SearchLimits::up_to(200))
+                     .journey;
   ASSERT_TRUE(j.has_value());
   EXPECT_EQ(j->legs.front().departure, 1);
   EXPECT_EQ(j->duration(r.g), 9 - 1);
@@ -156,28 +236,25 @@ TEST(Fastest, MultiHopDuration) {
 
 TEST(Reachability, SetAndClosureAgree) {
   const Relay r = make_relay();
-  const auto reach = reachable_set(r.g, r.u, 0, Policy::wait());
+  const auto reach = reachable(r.g, r.u, 0, Policy::wait());
   EXPECT_TRUE(reach[r.u]);
   EXPECT_TRUE(reach[r.v]);
   EXPECT_TRUE(reach[r.w]);
-  const auto closure = temporal_closure(r.g, 0, Policy::wait());
+  const auto closure = closure_rows(r.g, 0, Policy::wait());
   EXPECT_EQ(closure[r.u][r.w], 9);
   EXPECT_EQ(closure[r.w][r.u], kTimeInfinity);
 }
 
 TEST(Reachability, TemporallyConnectedNeedsAllPairs) {
   const Relay r = make_relay();
-  EXPECT_FALSE(temporally_connected(r.g, 0, Policy::wait(),
-                                    SearchLimits::up_to(100)));
+  EXPECT_FALSE(connected(r.g, 0, Policy::wait(), SearchLimits::up_to(100)));
   // Close the cycle: w -> u always available. All journeys start at 0,
   // so w reaches u at 1, still in time for uv's [0,2) window: connected.
   TimeVaryingGraph g = r.g;
   g.add_edge(r.w, r.u, 'c', Presence::always(), Latency::constant(1));
-  EXPECT_TRUE(
-      temporally_connected(g, 0, Policy::wait(), SearchLimits::up_to(100)));
+  EXPECT_TRUE(connected(g, 0, Policy::wait(), SearchLimits::up_to(100)));
   // Starting at t=2 instead, the uv window is gone: disconnected.
-  EXPECT_FALSE(
-      temporally_connected(g, 2, Policy::wait(), SearchLimits::up_to(100)));
+  EXPECT_FALSE(connected(g, 2, Policy::wait(), SearchLimits::up_to(100)));
   // With recurrent (periodic) edges, connectivity holds.
   TimeVaryingGraph h;
   const NodeId a = h.add_node();
@@ -189,18 +266,15 @@ TEST(Reachability, TemporallyConnectedNeedsAllPairs) {
              Latency::constant(1));
   h.add_edge(c, a, 'x', Presence::periodic(4, IntervalSet::from_points({1})),
              Latency::constant(1));
-  EXPECT_TRUE(temporally_connected(h, 0, Policy::wait(),
-                                   SearchLimits::up_to(1000)));
-  const auto diam = temporal_diameter(h, 0, Policy::wait(),
-                                      SearchLimits::up_to(1000));
+  EXPECT_TRUE(connected(h, 0, Policy::wait(), SearchLimits::up_to(1000)));
+  const auto diam = diameter(h, 0, Policy::wait(), SearchLimits::up_to(1000));
   ASSERT_TRUE(diam.has_value());
   EXPECT_GT(*diam, 0);
 }
 
 TEST(Reachability, DiameterIsNulloptWhenDisconnected) {
   const Relay r = make_relay();
-  EXPECT_EQ(temporal_diameter(r.g, 0, Policy::wait(),
-                              SearchLimits::up_to(100)),
+  EXPECT_EQ(diameter(r.g, 0, Policy::wait(), SearchLimits::up_to(100)),
             std::nullopt);
 }
 
@@ -213,10 +287,10 @@ TEST(Reachability, WaitDominatesNoWaitOnRandomGraphs) {
     params.seed = seed;
     const TimeVaryingGraph g = make_edge_markovian(params);
     for (NodeId src = 0; src < 3 && src < g.node_count(); ++src) {
-      const auto nowait = reachable_set(g, src, 0, Policy::no_wait(),
-                                        SearchLimits::up_to(60));
-      const auto wait = reachable_set(g, src, 0, Policy::wait(),
-                                      SearchLimits::up_to(60));
+      const auto nowait = reachable(g, src, 0, Policy::no_wait(),
+                                    SearchLimits::up_to(60));
+      const auto wait =
+          reachable(g, src, 0, Policy::wait(), SearchLimits::up_to(60));
       for (NodeId v = 0; v < g.node_count(); ++v) {
         EXPECT_LE(nowait[v], wait[v])
             << "seed=" << seed << " src=" << src << " v=" << v;
@@ -234,8 +308,8 @@ TEST(Reachability, BoundedWaitIsMonotoneInBound) {
     const TimeVaryingGraph g = make_edge_markovian(params);
     std::size_t prev = 0;
     for (Time d : {0, 2, 5, 10, 30}) {
-      const auto reach = reachable_set(g, 0, 0, Policy::bounded_wait(d),
-                                       SearchLimits::up_to(50));
+      const auto reach = reachable(g, 0, 0, Policy::bounded_wait(d),
+                                   SearchLimits::up_to(50));
       const auto count = static_cast<std::size_t>(
           std::count(reach.begin(), reach.end(), true));
       EXPECT_GE(count, prev) << "seed=" << seed << " d=" << d;
@@ -259,7 +333,7 @@ TEST(SearchLimits, TruncationIsReported) {
   limits.horizon = 1000;
   limits.max_configs = 16;
   const ForemostTree t =
-      foremost_arrivals(g, 0, 0, Policy::bounded_wait(3), limits);
+      foremost(g, 0, 0, Policy::bounded_wait(3), limits);
   EXPECT_TRUE(t.truncated);
 }
 
@@ -276,23 +350,22 @@ TEST(Fastest, ReportsCandidateTruncation) {
   SearchLimits limits;
   limits.horizon = 300;
   limits.max_fastest_candidates = 8;
-  const FastestJourneyResult truncated =
-      fastest_journey_checked(g, s, t, 0, 99, Policy::wait(), limits);
+  const JourneyResult truncated =
+      fastest(g, s, t, 0, 99, Policy::wait(), limits);
   EXPECT_TRUE(truncated.truncated);
   ASSERT_TRUE(truncated.journey.has_value());
   EXPECT_GT(truncated.journey->duration(g), 1);
 
   SearchLimits full = limits;
   full.max_fastest_candidates = 4096;
-  const FastestJourneyResult exact =
-      fastest_journey_checked(g, s, t, 0, 99, Policy::wait(), full);
+  const JourneyResult exact =
+      fastest(g, s, t, 0, 99, Policy::wait(), full);
   EXPECT_FALSE(exact.truncated);
   ASSERT_TRUE(exact.journey.has_value());
   EXPECT_EQ(exact.journey->legs.front().departure, 99);
   EXPECT_EQ(exact.journey->duration(g), 1);
-  // The unchecked wrapper returns the same journey.
-  EXPECT_EQ(fastest_journey(g, s, t, 0, 99, Policy::wait(), full),
-            exact.journey);
+  // The result's duration field is the witness's own duration.
+  EXPECT_EQ(exact.duration, exact.journey->duration(g));
 }
 
 TEST(BoundedWait, HorizonClampsDepartureWindow) {
@@ -302,11 +375,11 @@ TEST(BoundedWait, HorizonClampsDepartureWindow) {
   const NodeId u = g.add_node();
   const NodeId v = g.add_node();
   g.add_edge(u, v, 'a', Presence::eventually_always(6), Latency::constant(1));
-  const ForemostTree clipped = foremost_arrivals(
-      g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(5));
+  const ForemostTree clipped =
+      foremost(g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(5));
   EXPECT_EQ(clipped.arrival[v], kTimeInfinity);
-  const ForemostTree open = foremost_arrivals(
-      g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(7));
+  const ForemostTree open =
+      foremost(g, u, 0, Policy::bounded_wait(10), SearchLimits::up_to(7));
   EXPECT_EQ(open.arrival[v], 7);
 }
 
@@ -317,11 +390,11 @@ TEST(BoundedWait, InfiniteHorizonEnumeratesFiniteSchedules) {
   const NodeId u = g.add_node();
   const NodeId v = g.add_node();
   g.add_edge(u, v, 'a', Presence::at_times({40}), Latency::constant(2));
-  const ForemostTree t = foremost_arrivals(g, u, 0, Policy::bounded_wait(50));
+  const ForemostTree t = foremost(g, u, 0, Policy::bounded_wait(50));
   EXPECT_EQ(t.arrival[v], 42);
   EXPECT_FALSE(t.truncated);
   const ForemostTree miss =
-      foremost_arrivals(g, u, 0, Policy::bounded_wait(30));
+      foremost(g, u, 0, Policy::bounded_wait(30));
   EXPECT_EQ(miss.arrival[v], kTimeInfinity);
 }
 
@@ -339,7 +412,7 @@ TEST(BoundedWait, InfiniteWindowOverInfiniteScheduleHitsBudgetNotLivelock) {
                                "parity"));
   SearchLimits limits;  // horizon stays kTimeInfinity
   limits.max_configs = 64;
-  const ForemostTree t = foremost_arrivals(g, u, 0, Policy::wait(), limits);
+  const ForemostTree t = foremost(g, u, 0, Policy::wait(), limits);
   EXPECT_TRUE(t.truncated);
   EXPECT_EQ(t.arrival[v], 2);
 }
@@ -356,7 +429,7 @@ TEST(BoundedWait, AllRejectedArrivalsStillTerminateViaStepBudget) {
              Latency::function([](Time) { return kTimeInfinity; }, "stuck"));
   SearchLimits limits;  // horizon stays kTimeInfinity
   limits.max_configs = 64;
-  const ForemostTree t = foremost_arrivals(g, u, 0, Policy::wait(), limits);
+  const ForemostTree t = foremost(g, u, 0, Policy::wait(), limits);
   EXPECT_TRUE(t.truncated);
   EXPECT_EQ(t.arrival[v], kTimeInfinity);
 }
@@ -377,7 +450,7 @@ TEST(BoundedWait, DuplicateHeavyFiniteSearchIsNotSpuriouslyTruncated) {
   limits.horizon = 2000;
   limits.max_configs = 8192;  // 4000 configs actually explored
   const ForemostTree t =
-      foremost_arrivals(g, u, 0, Policy::bounded_wait(2000), limits);
+      foremost(g, u, 0, Policy::bounded_wait(2000), limits);
   EXPECT_FALSE(t.truncated);
   EXPECT_EQ(t.arrival[v], 1);
   EXPECT_EQ(t.configs.size(), 4000u);
@@ -396,8 +469,7 @@ TEST(Fastest, SharedSchedulesDoNotChargeCandidateBudgetTwice) {
   SearchLimits limits;
   limits.horizon = 50;
   limits.max_fastest_candidates = 15;
-  const FastestJourneyResult res =
-      fastest_journey_checked(g, s, t, 0, 20, Policy::wait(), limits);
+  const JourneyResult res = fastest(g, s, t, 0, 20, Policy::wait(), limits);
   EXPECT_FALSE(res.truncated);
   ASSERT_TRUE(res.journey.has_value());
   EXPECT_EQ(res.journey->duration(g), 3);
@@ -421,7 +493,7 @@ TEST(BoundedWait, InfinitySentinelFromNextPresentIsAbsence) {
                  }),
              Latency::constant(1));
   const ForemostTree t =
-      foremost_arrivals(g, u, 0, Policy::bounded_wait(kTimeInfinity));
+      foremost(g, u, 0, Policy::bounded_wait(kTimeInfinity));
   EXPECT_EQ(t.arrival[v], 4);
   EXPECT_FALSE(t.truncated);
 }

@@ -2,13 +2,28 @@
 // metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tvg/algorithms.hpp"
 #include "tvg/classes.hpp"
 #include "tvg/generators.hpp"
 #include "tvg/metrics.hpp"
+#include "tvg/query_engine.hpp"
 
 namespace tvg {
 namespace {
+
+/// All-source foremost rows from a one-shot, one-thread engine.
+std::vector<std::vector<Time>> closure_rows(const TimeVaryingGraph& g,
+                                            Time start, Policy policy,
+                                            SearchLimits limits = {}) {
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  ClosureQuery q;
+  q.start_time = start;
+  q.policy = policy;
+  q.limits = limits;
+  return engine.closure(q).rows;
+}
 
 TEST(Recurrence, PeriodicEdgesAreRecurrent) {
   TimeVaryingGraph g;
@@ -92,8 +107,11 @@ TEST(Classes, OneShotRelayIsOnlyTcFromEarlyStarts) {
              Latency::constant(1));
   g.add_edge(1, 0, 'a', Presence::intervals(IntervalSet::single(0, 2)),
              Latency::constant(1));
-  EXPECT_TRUE(temporally_connected(g, 0, Policy::wait(),
-                                   SearchLimits::up_to(100)));
+  // Temporally connected from 0: every closure entry is finite.
+  for (const auto& row :
+       closure_rows(g, 0, Policy::wait(), SearchLimits::up_to(100))) {
+    EXPECT_EQ(std::count(row.begin(), row.end(), kTimeInfinity), 0);
+  }
   EXPECT_FALSE(recurrently_connected(g, Policy::wait()));
 }
 
@@ -146,13 +164,14 @@ TEST(Metrics, CharacteristicTemporalDistance) {
   const NodeId a = g.add_node();
   const NodeId b = g.add_node();
   g.add_static_edge(a, b, 'x', 4);
-  const auto ctd =
-      characteristic_temporal_distance(g, 0, Policy::wait());
+  const auto ctd = characteristic_temporal_distance(
+      closure_rows(g, 0, Policy::wait()), 0);
   ASSERT_TRUE(ctd.has_value());
   EXPECT_NEAR(*ctd, 4.0, 1e-9);  // only a->b is a proper pair
   TimeVaryingGraph empty;
   empty.add_nodes(2);
-  EXPECT_EQ(characteristic_temporal_distance(empty, 0, Policy::wait()),
+  EXPECT_EQ(characteristic_temporal_distance(
+                closure_rows(empty, 0, Policy::wait()), 0),
             std::nullopt);
 }
 

@@ -4,9 +4,22 @@
 #include "tvg/algorithms.hpp"
 #include "tvg/contact_trace.hpp"
 #include "tvg/generators.hpp"
+#include "tvg/query_engine.hpp"
 
 namespace tvg {
 namespace {
+
+/// reach[v] = the untargeted foremost row's entry at v is finite.
+std::vector<bool> reachable(const QueryEngine& engine, NodeId source,
+                            Policy policy, SearchLimits limits) {
+  const JourneyResult row = engine.run(
+      JourneyQuery::foremost(source, 0).under(policy).within(limits));
+  std::vector<bool> reach(row.arrivals.size());
+  for (NodeId v = 0; v < row.arrivals.size(); ++v) {
+    reach[v] = row.arrivals[v] != kTimeInfinity;
+  }
+  return reach;
+}
 
 TEST(ContactTrace, ExtractFindsMaximalWindows) {
   TimeVaryingGraph g;
@@ -53,12 +66,14 @@ TEST(ContactTrace, GraphRoundTripPreservesReachability) {
       graph_from_contacts(contacts, params.nodes);
   SearchLimits limits;
   limits.horizon = 60;
+  const QueryEngine original(g, 1, CacheConfig::disabled());
+  const QueryEngine rebuilt(back, 1, CacheConfig::disabled());
   for (NodeId src = 0; src < 3; ++src) {
-    EXPECT_EQ(reachable_set(g, src, 0, Policy::wait(), limits),
-              reachable_set(back, src, 0, Policy::wait(), limits))
+    EXPECT_EQ(reachable(original, src, Policy::wait(), limits),
+              reachable(rebuilt, src, Policy::wait(), limits))
         << "src=" << src;
-    EXPECT_EQ(reachable_set(g, src, 0, Policy::no_wait(), limits),
-              reachable_set(back, src, 0, Policy::no_wait(), limits))
+    EXPECT_EQ(reachable(original, src, Policy::no_wait(), limits),
+              reachable(rebuilt, src, Policy::no_wait(), limits))
         << "src=" << src;
   }
 }

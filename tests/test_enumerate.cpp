@@ -65,8 +65,9 @@ TEST(Enumerate, AgreesWithForemostArrival) {
     limits.horizon = 50;
     const auto journeys =
         enumerate_journeys(g, 0, 0, Policy::no_wait(), opt);
+    SearchWorkspace ws;
     const ForemostTree tree =
-        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits);
+        foremost_arrivals(g, 0, 0, Policy::no_wait(), limits, ws);
     // Brute-force earliest arrival per node (within the hop bound) can
     // never beat the search's answer.
     std::vector<Time> brute(g.node_count(), kTimeInfinity);

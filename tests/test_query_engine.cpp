@@ -1,9 +1,9 @@
 // Property tests for tvg::QueryEngine, the batched / thread-parallel
 // query façade:
-//  * closure() at 1, 2, and 8 threads is bit-identical to the serial
-//    temporal_closure on randomized semi-periodic and edge-Markovian
+//  * closure() at 1, 2, and 8 threads is bit-identical to a serial
+//    one-thread closure on randomized semi-periodic and edge-Markovian
 //    graphs (the determinism guarantee the parallel sharding makes);
-//  * run() agrees with the single-query free functions on every
+//  * run() agrees with the kernel-level foremost search on every
 //    objective, one at a time and in threaded batches;
 //  * batched accepts() agrees word-for-word with per-word acceptance
 //    across policies on randomized graphs (trie sharing is a pure
@@ -22,6 +22,18 @@
 namespace {
 
 using namespace tvg;
+
+/// The serial reference sweep: one thread, no cache.
+std::vector<std::vector<Time>> serial_closure(const TimeVaryingGraph& g,
+                                              Policy policy,
+                                              SearchLimits limits) {
+  const QueryEngine engine(g, 1, CacheConfig::disabled());
+  ClosureQuery q;
+  q.policy = policy;
+  q.limits = limits;
+  q.threads = 1;
+  return engine.closure(q).rows;
+}
 
 std::vector<Word> all_words_up_to(const std::string& alphabet,
                                   std::size_t max_len) {
@@ -49,7 +61,7 @@ TEST(QueryEngineClosure, ParallelRowsBitIdenticalToSerialOnPeriodic) {
     for (const Policy policy :
          {Policy::no_wait(), Policy::bounded_wait(3), Policy::wait()}) {
       const SearchLimits limits = SearchLimits::up_to(200);
-      const auto serial = temporal_closure(g, 0, policy, limits);
+      const auto serial = serial_closure(g, policy, limits);
       QueryEngine engine(g);
       for (const unsigned threads : {1u, 2u, 8u}) {
         ClosureQuery q;
@@ -75,7 +87,7 @@ TEST(QueryEngineClosure, ParallelRowsBitIdenticalToSerialOnMarkovian) {
   params.seed = 9;
   const TimeVaryingGraph g = make_edge_markovian(params);
   const SearchLimits limits = SearchLimits::up_to(120);
-  const auto serial = temporal_closure(g, 0, Policy::wait(), limits);
+  const auto serial = serial_closure(g, Policy::wait(), limits);
   QueryEngine engine(g);
   for (const unsigned threads : {1u, 2u, 8u}) {
     ClosureQuery q;
@@ -96,7 +108,7 @@ TEST(QueryEngineClosure, ExplicitSourceSubsetAndOrder) {
   q.limits = SearchLimits::up_to(100);
   const ClosureResult result = engine.closure(q);
   ASSERT_EQ(result.rows.size(), 3u);
-  const auto full = temporal_closure(g, 0, Policy::wait(), q.limits);
+  const auto full = serial_closure(g, Policy::wait(), q.limits);
   EXPECT_EQ(result.rows[0], full[5]);
   EXPECT_EQ(result.rows[1], full[1]);
   EXPECT_EQ(result.rows[2], full[5]);
@@ -112,31 +124,64 @@ TEST(QueryEngineRun, AgreesWithFreeFunctionsOnEveryObjective) {
     const TimeVaryingGraph g = make_random_scheduled(params);
     const SearchLimits limits = SearchLimits::up_to(80);
     QueryEngine engine(g);
+    SearchWorkspace ws;
     for (const Policy policy :
          {Policy::no_wait(), Policy::bounded_wait(4), Policy::wait()}) {
+      const ForemostTree tree =
+          foremost_arrivals(g, 0, 0, policy, limits, ws);
+      // Fastest reference: foremost trees from every start instant of the
+      // departure window [0, 30].
+      std::vector<ForemostTree> from;
+      for (Time s = 0; s <= 30; ++s) {
+        from.push_back(foremost_arrivals(g, 0, s, policy, limits, ws));
+        ASSERT_FALSE(from.back().truncated);
+      }
       for (NodeId target = 1; target < g.node_count(); ++target) {
-        const auto fj =
-            foremost_journey(g, 0, target, 0, policy, limits);
         const JourneyResult fr = engine.run(
             JourneyQuery::foremost(0, 0).to(target).under(policy).within(
                 limits));
-        EXPECT_EQ(fr.journey, fj) << "seed=" << seed << " t=" << target;
+        EXPECT_EQ(fr.journey, tree.journey_to(g, target))
+            << "seed=" << seed << " t=" << target;
+        const bool reachable =
+            !tree.truncated && tree.arrival[target] != kTimeInfinity;
 
-        const auto sj = shortest_journey(g, 0, target, 0, policy, limits);
+        // Shortest witnesses are real journeys, found exactly when the
+        // target is reachable, and never longer than the foremost one.
         const JourneyResult sr = engine.run(
             JourneyQuery::shortest(0, target, 0).under(policy).within(
                 limits));
-        EXPECT_EQ(sr.journey, sj) << "seed=" << seed << " t=" << target;
+        EXPECT_EQ(sr.journey.has_value(), reachable)
+            << "seed=" << seed << " t=" << target;
+        if (sr.journey) {
+          EXPECT_TRUE(validate_journey(g, *sr.journey, policy).ok);
+          EXPECT_LE(sr.journey->hops(), fr.journey->hops());
+        }
 
-        const auto qj =
-            fastest_journey(g, 0, target, 0, 30, policy, limits);
+        // Fastest: found exactly when some start s in the window has a
+        // foremost witness leaving the source at s, with the least such
+        // duration; the witness is a real journey.
+        std::optional<Time> best;
+        for (const ForemostTree& t : from) {
+          const auto j = t.journey_to(g, target);
+          if (!j || j->legs.empty() ||
+              j->legs.front().departure != t.start_time) {
+            continue;
+          }
+          best = std::min(best.value_or(kTimeInfinity), j->duration(g));
+        }
         const JourneyResult qr = engine.run(
             JourneyQuery::fastest(0, target, 0, 30).under(policy).within(
                 limits));
-        EXPECT_EQ(qr.journey, qj) << "seed=" << seed << " t=" << target;
+        EXPECT_FALSE(qr.truncated);
+        EXPECT_EQ(qr.journey.has_value(), best.has_value())
+            << "seed=" << seed << " t=" << target;
+        if (qr.journey) {
+          EXPECT_TRUE(validate_journey(g, *qr.journey, policy).ok);
+          EXPECT_EQ(qr.duration, qr.journey->duration(g));
+          EXPECT_EQ(qr.duration, *best);
+        }
       }
       // Untargeted foremost returns the full arrival row.
-      const ForemostTree tree = foremost_arrivals(g, 0, 0, policy, limits);
       const JourneyResult row =
           engine.run(JourneyQuery::foremost(0, 0).under(policy).within(
               limits));
@@ -279,6 +324,63 @@ TEST(QueryEngineAccepts, BatchTruncationFallsBackToPerWordBudget) {
     EXPECT_TRUE(batch[i].accepted) << words[i];
     EXPECT_FALSE(batch[i].truncated) << words[i];
   }
+}
+
+TEST(QueryEngine, PredicateReenteringTheEngineLeasesItsOwnWorkspace) {
+  // A presence predicate ρ is user code, and user code may ask the engine
+  // a question mid-search. The nested run must lease its own workspace
+  // and leave the outer search's state alone: both results must equal
+  // the same queries on a twin graph whose ρ does not re-enter.
+  const auto every_third = [](Time t) { return t % 3 == 0; };
+  const auto build = [](const Presence& rho) {
+    TimeVaryingGraph g;
+    g.add_nodes(4);
+    g.add_edge(0, 1, 'a', Presence::periodic(4, IntervalSet::from_points({1})),
+               Latency::constant(1));
+    g.add_edge(1, 2, 'b', rho, Latency::constant(2));
+    g.add_edge(2, 3, 'a', Presence::periodic(5, IntervalSet::from_points({0})),
+               Latency::constant(1));
+    g.add_edge(0, 2, 'c', Presence::periodic(7, IntervalSet::from_points({6})),
+               Latency::constant(3));
+    return g;
+  };
+  const JourneyQuery inner =
+      JourneyQuery::foremost(1, 2).within(SearchLimits::up_to(60));
+
+  const TimeVaryingGraph plain = build(Presence::predicate(every_third));
+  const QueryEngine reference(plain, 1, CacheConfig::disabled());
+  const JourneyResult inner_expected = reference.run(inner);
+
+  const QueryEngine* engine = nullptr;
+  bool nested = false;  // depth guard: only the outer search re-enters
+  std::size_t reentries = 0;
+  std::size_t mismatches = 0;
+  const TimeVaryingGraph reentrant =
+      build(Presence::predicate([&](Time t) {
+        if (engine != nullptr && !nested) {
+          nested = true;
+          if (engine->run(inner) != inner_expected) ++mismatches;
+          ++reentries;
+          nested = false;
+        }
+        return every_third(t);
+      }));
+  const QueryEngine live(reentrant, 1, CacheConfig::disabled());
+  engine = &live;
+
+  for (const Policy policy : {Policy::wait(), Policy::bounded_wait(3)}) {
+    const SearchLimits limits = SearchLimits::up_to(60);
+    for (const JourneyQuery& q :
+         {JourneyQuery::foremost(0, 0).under(policy).within(limits),
+          JourneyQuery::foremost(0, 0).to(3).under(policy).within(limits),
+          JourneyQuery::shortest(0, 3, 0).under(policy).within(limits),
+          JourneyQuery::fastest(0, 3, 0, 20).under(policy).within(limits)}) {
+      EXPECT_EQ(live.run(q), reference.run(q))
+          << "policy=" << policy.to_string();
+    }
+  }
+  EXPECT_GT(reentries, 0u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(QueryEngine, GuardsBadArguments) {
